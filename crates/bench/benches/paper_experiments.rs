@@ -97,25 +97,16 @@ fn bench_fig4_occupancy(c: &mut Criterion) {
 }
 
 fn bench_simulator_inner_loop(c: &mut Criterion) {
-    // The simulator's per-cycle loop itself, under both drivers: the
-    // event-horizon skipping default and the strict one-cycle-at-a-time
-    // reference. Latbench's pointer chase is skip's best case (window-full
-    // dependent misses); FFT at 4 processors is its worst (event-dense).
-    // `benchsim` turns the same comparison into BENCH_sim.json; this group
-    // tracks it under criterion's statistics.
+    // The simulator's per-cycle loop itself, under the strict
+    // one-cycle-at-a-time reference driver. `benchsim` and the `stepper`
+    // bench compare it against the event stepper; this group tracks the
+    // reference loop under criterion's statistics.
     let mut g = c.benchmark_group("simulator-inner-loop");
     g.sample_size(10);
     for (label, app, mp) in [
-        ("latbench-skip", App::Latbench, false),
         ("latbench-strict", App::Latbench, false),
-        ("fft-mp-skip", App::Fft, true),
         ("fft-mp-strict", App::Fft, true),
     ] {
-        let stepper = if label.ends_with("-skip") {
-            Stepper::Skip
-        } else {
-            Stepper::Strict
-        };
         let w = app.build(SCALE);
         let nprocs = if mp { w.mp_procs.max(1) } else { 1 };
         let cfg = MachineConfig::base_simulated(nprocs, 64 * 1024);
@@ -127,7 +118,7 @@ fn bench_simulator_inner_loop(c: &mut Criterion) {
                     &mut mem,
                     &cfg,
                     SimOptions {
-                        stepper,
+                        stepper: Stepper::Strict,
                         ..SimOptions::default()
                     },
                 )

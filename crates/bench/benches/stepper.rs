@@ -1,6 +1,5 @@
-//! Stepper benchmarks: strict-cycle scanning vs cycle-skip horizon jumps
-//! vs per-component event-driven scheduling, and the sharded event driver
-//! at 1/2/4 worker threads. Two workloads bracket the design space: the
+//! Stepper benchmarks: strict per-cycle scanning vs per-component
+//! event-driven scheduling. Two workloads bracket the design space: the
 //! 16-processor FFT transpose is event-dense (sync traffic plus remote
 //! misses keep most cores runnable most rounds), while uniprocessor
 //! Latbench is idle-heavy (one dependent miss chain, long quiet gaps the
@@ -28,13 +27,13 @@ fn simulate(app: App, nprocs: usize, opts: SimOptions) -> u64 {
     run_program_with(&w.program, &mut mem, &cfg, opts).cycles
 }
 
-/// Strict vs skip vs event on the two bracketing workloads.
+/// Strict vs event on the two bracketing workloads.
 fn bench_steppers(c: &mut Criterion) {
     for (app, nprocs) in [(App::Fft, 16), (App::Latbench, 1)] {
         let mut g = c.benchmark_group(&format!("stepper-{}-{}p", app.name(), nprocs));
         g.sample_size(10);
         let mut cycles_by_stepper = Vec::new();
-        for stepper in [Stepper::Strict, Stepper::Skip, Stepper::Event] {
+        for stepper in [Stepper::Strict, Stepper::Event] {
             let opts = SimOptions {
                 stepper,
                 ..SimOptions::default()
@@ -57,34 +56,5 @@ fn bench_steppers(c: &mut Criterion) {
     }
 }
 
-/// Sharded event driver on the multiprocessor workload: 1 thread is the
-/// inline (no-team) path, 2/4 add worker threads under the conservative
-/// one-round window.
-fn bench_shards(c: &mut Criterion) {
-    let mut g = c.benchmark_group("stepper-shards-fft-16p");
-    g.sample_size(10);
-    let mut cycles_by_shards = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let opts = SimOptions {
-            stepper: Stepper::Event,
-            shards,
-            ..SimOptions::default()
-        };
-        let mut cycles = 0;
-        g.bench_function(format!("sh{shards}"), |b| {
-            b.iter(|| {
-                cycles = simulate(App::Fft, 16, opts);
-                black_box(cycles)
-            })
-        });
-        cycles_by_shards.push(cycles);
-    }
-    assert!(
-        cycles_by_shards.windows(2).all(|w| w[0] == w[1]),
-        "shard counts must agree on simulated cycles ({cycles_by_shards:?})"
-    );
-    g.finish();
-}
-
-criterion_group!(benches, bench_steppers, bench_shards);
+criterion_group!(benches, bench_steppers);
 criterion_main!(benches);

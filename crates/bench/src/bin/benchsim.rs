@@ -1,22 +1,20 @@
 //! Regenerates `BENCH_sim.json`: simulator throughput (simulated cycles
-//! per host second) for a fixed set of experiments, under the three
-//! clock drivers (strict one-cycle-at-a-time reference, event-horizon
-//! cycle skipping, discrete-event stepping) plus a tree-walking
-//! interpreter leg and — for multiprocessor experiments — the event
-//! stepper's sharded mode at 2 and 4 worker threads. Each experiment
-//! also runs once per alternative coherence protocol (MESI, MOESI,
-//! Dragon) under the event driver, recording what each machine costs in
+//! per host second) for a fixed set of experiments, under both clock
+//! drivers (strict one-cycle-at-a-time reference, discrete-event
+//! stepping) plus a tree-walking interpreter leg. Each experiment also
+//! runs once per alternative coherence protocol (MESI, MOESI, Dragon)
+//! under the event driver, recording what each machine costs in
 //! simulated cycles relative to the directory baseline. The JSON carries
-//! the resulting stepper-vs-strict, shard-scaling,
-//! bytecode-vs-tree-walk, and per-protocol cycle ratios, plus the
+//! the resulting event-vs-strict, bytecode-vs-tree-walk, and
+//! per-protocol cycle ratios, plus the
 //! composition-tuner legs (`"tune"` array): base vs paper-default
 //! driver vs tuned simulated cycles with the `tuned_vs_default`
 //! headline ratio (DESIGN.md §13).
 //!
 //! The runs are timed **serially** (unlike the other harness binaries) so
 //! host contention cannot distort the throughput numbers, and the cycle
-//! counts of all directory modes are asserted identical — no stepper,
-//! shard count, or engine swap may ever change results, only speed. The
+//! counts of all directory modes are asserted identical — no stepper or
+//! engine swap may ever change results, only speed. The
 //! protocol legs have their own cycle counts but must reproduce the
 //! directory leg's functional results (retired ops, loads/stores, memory
 //! fingerprint) exactly.
@@ -42,7 +40,7 @@ use mempar_workloads::App;
 fn main() {
     let args = parse_args();
     // Latbench's pointer chase is the headline (window-full dependent
-    // misses — the best case for skipping); Erlebacher and FFT cover a
+    // misses — the best case for event stepping); Erlebacher and FFT cover a
     // regular uniprocessor stream and a barrier-synchronized
     // multiprocessor run.
     let experiments: &[(&str, App, bool)] = &[
@@ -50,18 +48,12 @@ fn main() {
         ("erlebacher-up", App::Erlebacher, false),
         ("fft-mp", App::Fft, true),
     ];
-    let base_modes: &[(&str, Stepper, usize, Engine)] = &[
-        ("strict-cycle", Stepper::Strict, 1, Engine::Bytecode),
-        ("cycle-skip", Stepper::Skip, 1, Engine::Bytecode),
-        ("event", Stepper::Event, 1, Engine::Bytecode),
+    let modes: &[(&str, Stepper, Engine)] = &[
+        ("strict-cycle", Stepper::Strict, Engine::Bytecode),
+        ("event", Stepper::Event, Engine::Bytecode),
         // The engine comparison rides the fastest stepper so the
         // front-end difference is least diluted by the timing model.
-        ("tree-walk", Stepper::Event, 1, Engine::Interp),
-    ];
-    // Shard scaling only makes sense where there are cores to shard.
-    let shard_modes: &[(&str, Stepper, usize, Engine)] = &[
-        ("event-sh2", Stepper::Event, 2, Engine::Bytecode),
-        ("event-sh4", Stepper::Event, 4, Engine::Bytecode),
+        ("tree-walk", Stepper::Event, Engine::Interp),
     ];
     let mut records: Vec<SimBenchRecord> = Vec::new();
     let mut frontend: Vec<FrontendBenchRecord> = Vec::new();
@@ -71,15 +63,11 @@ fn main() {
         // Functional reference from the directory event leg: the
         // protocol legs below must reproduce it exactly.
         let mut func_ref = None;
-        let modes = base_modes
-            .iter()
-            .chain(if mp { shard_modes } else { &[] })
-            .copied();
-        for (mode, stepper, shards, engine) in modes {
+        for &(mode, stepper, engine) in modes {
             let w = app.build(args.scale);
             let nprocs = if mp { w.mp_procs.max(1) } else { 1 };
             let cfg = MachineConfig::base_simulated(nprocs, 64 * 1024);
-            // Min-of-N wall time: the skip legs finish in well under a
+            // Min-of-N wall time: the event legs finish in well under a
             // second, where a single run is hostage to host noise, so
             // short legs get more samples (at least 3, up to 8, until
             // ~1s of repetitions has accumulated).
@@ -96,7 +84,6 @@ fn main() {
                         &cfg,
                         SimOptions {
                             stepper,
-                            shards,
                             engine,
                             protocol: Protocol::Directory,
                         },
@@ -135,7 +122,7 @@ fn main() {
         }
         assert!(
             cycles_by_mode.windows(2).all(|w| w[0] == w[1]),
-            "{name}: stepper, shard count, or engine changed the simulated cycle count: \
+            "{name}: stepper or engine changed the simulated cycle count: \
              {cycles_by_mode:?}"
         );
         // Alternative coherence machines under the event driver. Their
@@ -165,7 +152,6 @@ fn main() {
                         &cfg,
                         SimOptions {
                             stepper: Stepper::Event,
-                            shards: 1,
                             engine: Engine::Bytecode,
                             protocol,
                         },
@@ -280,7 +266,6 @@ fn main() {
             measure_locality(&w.program, &mut reuse_mem, &cfg, ReuseConfig::default());
         let opts = SimOptions {
             stepper: Stepper::Event,
-            shards: 1,
             engine: Engine::Bytecode,
             protocol: Protocol::Directory,
         };

@@ -75,13 +75,9 @@ pub struct HarnessArgs {
     /// Functional engine feeding the simulator (`--engine`, default
     /// bytecode).
     pub engine: Engine,
-    /// Clock-advance strategy (`--stepper`, default event). Every
-    /// stepper yields bit-identical results; they differ only in speed.
+    /// Clock-advance strategy (`--stepper`, default event). Both
+    /// steppers yield bit-identical results; they differ only in speed.
     pub stepper: Stepper,
-    /// Worker threads the event stepper shards cores across
-    /// (`--shards`, default 1 = single-threaded). Deterministic: results
-    /// are bit-identical at every shard count.
-    pub shards: usize,
     /// Coherence protocol driving the memory system (`--protocol`,
     /// default directory). Functional results are identical across
     /// protocols; only cycle counts move.
@@ -110,7 +106,6 @@ impl Default for HarnessArgs {
             profile_refs: false,
             engine: Engine::default(),
             stepper: opts.stepper,
-            shards: opts.shards,
             protocol: opts.protocol,
             locality: Locality::default(),
             reuse_out: None,
@@ -126,12 +121,10 @@ impl HarnessArgs {
         self.trace_out.is_some() || self.metrics_out.is_some() || self.profile_refs
     }
 
-    /// Driver options implied by the flags (stepper, shards, engine,
-    /// protocol).
+    /// Driver options implied by the flags (stepper, engine, protocol).
     pub fn sim_options(&self) -> SimOptions {
         SimOptions {
             stepper: self.stepper,
-            shards: self.shards,
             engine: self.engine,
             protocol: self.protocol,
         }
@@ -152,7 +145,7 @@ pub fn usage() -> String {
     let apps: Vec<&str> = App::all().iter().map(|a| a.name()).collect();
     format!(
         "usage: {bin} [--scale <f>] [--apps <a,b,c>] [--mode <m>] [--procs <n>] [--threads <n>]\n\
-         \x20       [--engine <e>] [--stepper <s>] [--shards <n>] [--protocol <p>]\n\
+         \x20       [--engine <e>] [--stepper <s>] [--protocol <p>]\n\
          \x20       [--locality <l>] [--reuse-out <path>]\n\
          \x20       [--trace-out <path>] [--metrics-out <path>] [--profile-refs] [--quiet]\n\
          \n\
@@ -162,10 +155,8 @@ pub fn usage() -> String {
          \x20 --procs <n>        override processor count (0 = each workload's Table 2 count)\n\
          \x20 --threads <n>      worker threads for the experiment matrix (0 = all cores)\n\
          \x20 --engine <e>       functional engine: bytecode (default, fast) | interp (reference)\n\
-         \x20 --stepper <s>      clock driver: event (default, fast) | skip | strict (reference);\n\
+         \x20 --stepper <s>      clock driver: event (default, fast) | strict (reference);\n\
          \x20                    results are bit-identical across steppers\n\
-         \x20 --shards <n>       worker threads the event stepper shards cores across (default 1;\n\
-         \x20                    deterministic — results are bit-identical at every count)\n\
          \x20 --protocol <p>     coherence protocol: directory (default) | mesi | moesi | dragon;\n\
          \x20                    functional results are identical, only cycle counts move\n\
          \x20 --locality <l>     locality model: analytic (default, the paper's static model) |\n\
@@ -259,13 +250,6 @@ pub fn parse_args() -> HarnessArgs {
             "--protocol" => {
                 out.protocol = take().parse().unwrap_or_else(|e: String| usage_error(&e))
             }
-            "--shards" => {
-                out.shards = take()
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage_error("--shards expects a positive integer"))
-            }
             "--locality" => {
                 out.locality = take().parse().unwrap_or_else(|e: String| usage_error(&e))
             }
@@ -283,12 +267,6 @@ pub fn parse_args() -> HarnessArgs {
     }
     if !out.scale.is_finite() || out.scale <= 0.0 {
         usage_error("--scale expects a positive float");
-    }
-    if out.shards > 1 && out.stepper != Stepper::Event {
-        usage_error(&format!(
-            "--shards {} requires --stepper event (the {} stepper is single-threaded)",
-            out.shards, out.stepper
-        ));
     }
     if out.reuse_out.is_some() && out.locality != Locality::Measured {
         usage_error("--reuse-out requires --locality measured");
@@ -503,9 +481,8 @@ pub fn scaled_l2(base_bytes: usize, scale: f64) -> usize {
 pub struct SimBenchRecord {
     /// Experiment name (e.g. `latbench-up`).
     pub experiment: String,
-    /// Driver mode: `strict-cycle` / `cycle-skip` / `event` /
-    /// `event-sh2` / `event-sh4` (bytecode engine, named by stepper and
-    /// shard count), `tree-walk` (interpreter engine, event stepper), or
+    /// Driver mode: `strict-cycle` / `event` (bytecode engine, named by
+    /// stepper), `tree-walk` (interpreter engine, event stepper), or
     /// `event-mesi` / `event-moesi` / `event-dragon` (event stepper
     /// under an alternative coherence protocol — these have their own
     /// cycle counts, so they stay out of the cross-mode cycle-equality
@@ -661,8 +638,8 @@ fn occupancy_json(o: &MshrOccupancy, cores: usize) -> String {
     )
 }
 
-/// Serializes the records (plus per-experiment stepper-vs-strict,
-/// shard-scaling and bytecode-vs-tree-walk speedups, the isolated
+/// Serializes the records (plus per-experiment event-vs-strict and
+/// bytecode-vs-tree-walk speedups, the isolated
 /// front-end drain measurements, the measured-locality profiler
 /// overhead legs, and the composition-tuner `tuned_vs_default` legs) as
 /// the `BENCH_sim.json` document. Hand-rolled JSON: the offline build
@@ -708,17 +685,6 @@ pub fn bench_sim_json(
         };
         if let Some(strict) = find(&r.experiment, "strict-cycle") {
             fields.push(format!("\"event_vs_strict\": {:.2}", ratio_vs(strict, r)));
-            if let Some(skip) = find(&r.experiment, "cycle-skip") {
-                fields.push(format!("\"skip_vs_strict\": {:.2}", ratio_vs(strict, skip)));
-            }
-        }
-        for (col, mode) in [
-            ("shard2_vs_event", "event-sh2"),
-            ("shard4_vs_event", "event-sh4"),
-        ] {
-            if let Some(sharded) = find(&r.experiment, mode) {
-                fields.push(format!("\"{col}\": {:.2}", ratio_vs(r, sharded)));
-            }
         }
         if let Some(tree) = find(&r.experiment, "tree-walk") {
             fields.push(format!("\"engine_speedup\": {:.2}", ratio_vs(tree, r)));
@@ -885,14 +851,6 @@ mod tests {
                 wall_seconds: 1.0,
                 occupancy: None,
             },
-            SimBenchRecord {
-                experiment: "fft-mp".into(),
-                mode: "event-sh2".into(),
-                cycles: 1000,
-                cores: 2,
-                wall_seconds: 0.25,
-                occupancy: None,
-            },
         ];
         let frontend = vec![FrontendBenchRecord {
             experiment: "fft-mp".into(),
@@ -926,7 +884,6 @@ mod tests {
         assert!(json.contains("\"cores\": 2"));
         assert!(json.contains("\"cycles_per_core\": 1"));
         assert!(json.contains("\"event_vs_strict\": 2.00"));
-        assert!(json.contains("\"shard2_vs_event\": 2.00"));
         assert!(json.contains("\"frontend_speedup\": 1.50"));
         assert!(json.contains("\"interp_ns_per_op\""));
         assert!(json.contains("\"prepass_overhead\": 1.50"));

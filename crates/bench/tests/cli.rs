@@ -82,7 +82,6 @@ fn help_exits_0_and_prints_usage_to_stdout() {
         "--quiet",
         "--engine",
         "--stepper",
-        "--shards",
         "--protocol",
         "--locality",
         "--reuse-out",
@@ -90,6 +89,11 @@ fn help_exits_0_and_prints_usage_to_stdout() {
     ] {
         assert!(stdout.contains(flag), "usage missing {flag}:\n{stdout}");
     }
+    // The stepper menu lists the two steppers, strict and event.
+    assert!(
+        stdout.contains("event (default, fast) | strict (reference)"),
+        "usage must list --stepper strict|event:\n{stdout}"
+    );
     // The protocol menu is part of the documented surface too.
     for name in ["directory", "mesi", "moesi", "dragon"] {
         assert!(
@@ -137,51 +141,22 @@ fn reuse_out_without_measured_exits_2_with_usage() {
 }
 
 #[test]
-fn malformed_shards_exits_2_with_usage() {
-    assert_usage_exit(&["--shards", "many"], "--shards expects a positive integer");
-    assert_usage_exit(&["--shards", "0"], "--shards expects a positive integer");
+fn skip_stepper_and_shards_flag_exit_2_with_usage() {
+    assert_usage_exit(
+        &["--stepper", "skip"],
+        "unknown stepper 'skip' (expected strict or event)",
+    );
+    assert_usage_exit(&["--shards", "2"], "unknown flag --shards");
 }
 
 #[test]
-fn shards_without_event_stepper_exits_2_with_usage() {
-    assert_usage_exit(
-        &["--stepper", "skip", "--shards", "4"],
-        "--shards 4 requires --stepper event",
-    );
-    // Order of flags must not matter.
-    assert_usage_exit(
-        &["--shards", "2", "--stepper", "strict"],
-        "--shards 2 requires --stepper event",
-    );
-}
-
-#[test]
-fn stepper_and_shard_choices_never_change_results() {
+fn stepper_choice_never_changes_results() {
     let reference = run(&["--scale", "0.02", "-q"]);
     assert_eq!(reference.status.code(), Some(0));
     let reference = String::from_utf8_lossy(&reference.stdout).into_owned();
     for args in [
         &["--scale", "0.02", "-q", "--stepper", "strict"][..],
-        &["--scale", "0.02", "-q", "--stepper", "skip"][..],
         &["--scale", "0.02", "-q", "--stepper", "event"][..],
-        &[
-            "--scale",
-            "0.02",
-            "-q",
-            "--stepper",
-            "event",
-            "--shards",
-            "2",
-        ][..],
-        &[
-            "--scale",
-            "0.02",
-            "-q",
-            "--stepper",
-            "event",
-            "--shards",
-            "4",
-        ][..],
     ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(0), "args {args:?}");
@@ -189,7 +164,7 @@ fn stepper_and_shard_choices_never_change_results() {
             String::from_utf8_lossy(&out.stdout),
             reference,
             "args {args:?}: table2 output must be byte-identical across \
-             steppers and shard counts"
+             steppers"
         );
     }
 }

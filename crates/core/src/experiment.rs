@@ -176,8 +176,8 @@ pub fn run_pair_locality(
     (pair, Some(artifacts))
 }
 
-/// [`run_pair`] with explicit driver options (engine selection, cycle
-/// skipping — see [`SimOptions`]).
+/// [`run_pair`] with explicit driver options (engine selection,
+/// stepper — see [`SimOptions`]).
 pub fn run_pair_with(w: &Workload, cfg: &MachineConfig, opts: SimOptions) -> RunPair {
     let policy = match cfg.topology {
         Topology::Numa => HomePolicy::BlockPerArray,

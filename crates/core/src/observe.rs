@@ -55,7 +55,7 @@ pub fn observe_pair(w: &Workload, cfg: &MachineConfig, trace_capacity: usize) ->
 }
 
 /// [`observe_pair`] with explicit driver options (engine selection,
-/// cycle skipping — see [`SimOptions`]).
+/// stepper — see [`SimOptions`]).
 pub fn observe_pair_with(
     w: &Workload,
     cfg: &MachineConfig,
@@ -169,7 +169,7 @@ pub fn observe_program(
 }
 
 /// [`observe_program`] with explicit driver options (engine selection,
-/// cycle skipping — see [`SimOptions`]).
+/// stepper — see [`SimOptions`]).
 #[allow(clippy::too_many_arguments)]
 pub fn observe_program_with(
     name: &str,

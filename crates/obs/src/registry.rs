@@ -60,16 +60,6 @@ impl MetricsRegistry {
             .insert(name.to_string(), Metric::Histogram(bins.to_vec()));
     }
 
-    /// Clones the metric registered under `canonical` into `alias`.
-    /// No-op when `canonical` is absent. Used for deprecated metric
-    /// names kept alive for old consumers (e.g. `sim.dir.*` aliasing
-    /// the canonical `sim.coh.*` coherence metrics — DESIGN.md §7b).
-    pub fn alias(&mut self, canonical: &str, alias: &str) {
-        if let Some(m) = self.map.get(canonical).cloned() {
-            self.map.insert(alias.to_string(), m);
-        }
-    }
-
     /// Looks a metric up by exact name.
     pub fn get(&self, name: &str) -> Option<&Metric> {
         self.map.get(name)
@@ -253,16 +243,5 @@ mod tests {
         bins[0] = 98;
         bins[7] = 2;
         assert_eq!(histogram_percentiles(&bins), Some([0, 0, 7]));
-    }
-
-    #[test]
-    fn alias_clones_canonical() {
-        let mut r = MetricsRegistry::new();
-        r.counter("sim.coh.invalidations", 4);
-        r.alias("sim.coh.invalidations", "sim.dir.invalidations");
-        assert_eq!(r.counter_value("sim.dir.invalidations"), Some(4));
-        // Aliasing a missing metric is a no-op.
-        r.alias("sim.coh.nope", "sim.dir.nope");
-        assert_eq!(r.get("sim.dir.nope"), None);
     }
 }

@@ -25,8 +25,8 @@
 //!   the spatial filter thins the distinct-line count uniformly.
 //!
 //! Distances are tracked **per core**: each core's op stream is
-//! deterministic and identical across steppers, engines and shard
-//! counts, so the profile is bit-stable wherever the tap is placed. All
+//! deterministic and identical across steppers and engines, so the
+//! profile is bit-stable wherever the tap is placed. All
 //! state lives in ordered structures (`BTreeMap`, a Fenwick tree over
 //! slot indices, a `BinaryHeap` popped to exhaustion) — iteration order
 //! never depends on hash-map layout, making reports reproducible

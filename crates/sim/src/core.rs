@@ -295,7 +295,7 @@ pub struct Core {
     /// Retired instruction count.
     pub retired: u64,
     /// Instructions retired by the most recent [`Core::retire`] call
-    /// (cycle-skip scheduling: a retiring core may retire again next cycle).
+    /// (event scheduling: a retiring core may retire again next cycle).
     retired_last_cycle: u32,
     /// Stall class charged by the most recent [`Core::retire`] call, or
     /// `None` when the core retired a full width (or halted). The system
@@ -382,10 +382,9 @@ impl Core {
     }
 
     /// True when the core retired something last cycle or can fetch now —
-    /// the cheap "will plausibly act next cycle" test. The system loop uses
-    /// this as a fast path: if any core is active, the next cycle is
-    /// interesting and no reorder-buffer scan is needed.
-    pub fn made_progress(&self) -> bool {
+    /// the cheap "will plausibly act next cycle" test that lets
+    /// [`Core::next_event_time`] answer `now + 1` without a window scan.
+    fn made_progress(&self) -> bool {
         !self.halted && (self.retired_last_cycle > 0 || self.fetch_room() > 0)
     }
 
@@ -977,11 +976,11 @@ impl Core {
     /// occur (halted, or genuinely stuck waiting on another processor).
     ///
     /// Called at the end of a cycle, after retire/issue/fetch have run.
-    /// The cycle-skipping scheduler jumps the clock to the minimum of
-    /// these across cores (and the memory system's fill events); for the
-    /// skip to preserve exact results, every condition that could change
-    /// the core's behavior on an intermediate cycle must map to a
-    /// candidate here. Conservative answers (`now + 1`) are always safe.
+    /// The event stepper sleeps the core until this cycle (and jumps the
+    /// clock to the minimum across cores and the memory system's fill
+    /// events); for the skipped cycles to preserve exact results, every
+    /// condition that could change the core's behavior on an
+    /// intermediate cycle must map to a candidate here. Conservative answers (`now + 1`) are always safe.
     pub fn next_event_time(&self, sync: &SyncState, now: u64) -> Option<u64> {
         if self.halted {
             return None;

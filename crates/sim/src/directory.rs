@@ -187,10 +187,6 @@ impl CoherenceProtocol for Directory {
     fn table_slots(&self) -> usize {
         self.entries.capacity()
     }
-
-    // `export_metrics` uses the trait default: canonical `sim.coh.lines`
-    // / `sim.coh.sharers` gauges. The legacy `sim.dir.*` names are
-    // aliased once, centrally, in `MemSystem::export_metrics`.
 }
 
 #[cfg(test)]

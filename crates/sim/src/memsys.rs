@@ -288,7 +288,7 @@ impl MemSystem {
     }
 
     /// The time of the earliest scheduled fill event, if any. Used by the
-    /// cycle-skipping scheduler to bound how far the clock may jump.
+    /// event stepper to bound how far the clock may jump.
     pub fn next_event_time(&self) -> Option<u64> {
         self.events.peek().map(|Reverse(ev)| ev.time)
     }
@@ -944,11 +944,6 @@ impl MemSystem {
         reg.counter("sim.coh.upgrades", t.upgrades);
         reg.counter("sim.coh.updates", t.updates);
         self.proto.export_metrics(reg);
-        // `sim.coh.*` is canonical; the pre-protocol-trait `sim.dir.*`
-        // names survive only as aliases (deprecated — DESIGN.md §8b).
-        for name in ["invalidations", "lines", "sharers"] {
-            reg.alias(&format!("sim.coh.{name}"), &format!("sim.dir.{name}"));
-        }
 
         let lat = self.total_read_latency();
         reg.gauge("sim.cache.l2.read_latency.mean", lat.mean());

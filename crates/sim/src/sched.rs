@@ -1,9 +1,10 @@
 //! The discrete-event stepper behind [`Stepper::Event`]: instead of
-//! stepping every core every cycle (strict), or every core on every
-//! *globally* interesting cycle (skip), each core carries its own wake
-//! time and is stepped only in rounds where it is scheduled. Event-dense
-//! multiprocessor runs stop paying per-cycle costs for cores that are
-//! stalled on a miss or parked at a barrier.
+//! stepping every core every cycle (strict), each core carries its own
+//! wake time and is stepped only in rounds where it is scheduled.
+//! Event-dense multiprocessor runs stop paying per-cycle costs for cores
+//! that are stalled on a miss or parked at a barrier. The loop is
+//! single-threaded: every phase runs on the calling thread in fixed core
+//! order.
 //!
 //! Exactness rests on two invariants (see DESIGN.md §10):
 //!
@@ -31,502 +32,106 @@
 //!    additionally consults the round's fresh tail of
 //!    [`SyncState::flag_log`] to pull those waiters into the current
 //!    round.
-//!
-//! The optional sharded mode farms the wake recompute — the only
-//! remaining O(window) scan — out to worker threads. Every phase that
-//! mutates shared state (memory system, sync, tracer, fetch) runs on
-//! the coordinating thread in fixed global core order; workers receive
-//! a published `(now, sync snapshot)` pair and write only their own
-//! shard's wake times. The recompute is a pure function of published
-//! state, so cycles, traces, and metrics are bit-identical at every
-//! shard count by construction.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use mempar_obs::{TraceEventKind, SYSTEM_PROC};
 
-use crate::core::Core;
-use crate::sync::SyncState;
 use crate::system::{
     deadlock_panic, fetch_stage, trace_stall_transition, DriverState, DEADLOCK_WINDOW,
 };
 
 #[cfg(doc)]
-use crate::system::Stepper;
+use crate::{core::Core, sync::SyncState, system::Stepper};
 
 /// "No wake scheduled": the core sleeps until shared sync state changes
 /// (or forever, when the run is deadlocked).
 const NO_WAKE: u64 = u64::MAX;
 
-/// A contiguous block of cores plus the per-core scheduling state the
-/// wake-recompute phase reads and writes. Workers only ever touch their
-/// own shard, and only between the coordinator's publish (mutex release)
-/// and the next round's re-lock.
-struct Shard {
-    /// Global index of `cores[0]`.
-    base: usize,
-    cores: Vec<Core>,
-    /// Next cycle each core must be stepped (`NO_WAKE` = asleep).
-    wake: Vec<u64>,
-    /// First cycle not yet charged to each core's stall breakdown.
-    charged_until: Vec<u64>,
-    /// Cores whose wake time must be recomputed this round.
-    need: Vec<bool>,
-    /// Number of `true` entries in `need` (lets a recompute with nothing
-    /// to do — a fill-event-only round — be skipped entirely).
-    pending: u32,
-    /// Clock value published by the coordinator for this round.
-    now: u64,
-    /// Snapshot of the shared sync state, republished on version change.
-    sync: Arc<SyncState>,
-    /// Local indices of the cores whose wake time equals the shard's
-    /// published minimum — rebuilt by every recompute, and still exact
-    /// when the recompute is skipped (nothing marked means no wake time
-    /// moved). When the round's clock lands on this shard's minimum,
-    /// these are exactly the cores due by schedule, so the retire phase
-    /// can walk this list instead of rescanning every core.
-    due_local: Vec<u32>,
-}
-
-impl Shard {
-    /// Recomputes the wake time of every marked core and publishes the
-    /// shard's minimum wake into `min_out`. Pure with respect to
-    /// published state: reads `cores`/`sync`/`now`, writes
-    /// `wake`/`need`/`min_out` — deterministic no matter which thread
-    /// runs it. When nothing is marked the previously published minimum
-    /// is still exact, so the whole call is skipped.
-    fn recompute(&mut self, min_out: &AtomicU64) {
-        if self.pending == 0 {
-            return;
-        }
-        self.pending = 0;
-        let mut min = NO_WAKE;
-        self.due_local.clear();
-        for (li, core) in self.cores.iter().enumerate() {
-            if self.need[li] {
-                self.need[li] = false;
-                self.wake[li] = core
-                    .next_event_time(&self.sync, self.now)
-                    .unwrap_or(NO_WAKE);
-            }
-            let w = self.wake[li];
-            // Single pass: a new minimum restarts the due list; matches
-            // extend it. Amortized O(cores) — each index is pushed at
-            // most once per restart, and restarts strictly lower `min`.
-            match w.cmp(&min) {
-                std::cmp::Ordering::Less => {
-                    min = w;
-                    self.due_local.clear();
-                    self.due_local.push(li as u32);
-                }
-                std::cmp::Ordering::Equal => self.due_local.push(li as u32),
-                std::cmp::Ordering::Greater => {}
-            }
-        }
-        if min == NO_WAKE {
-            self.due_local.clear();
-        }
-        min_out.store(min, Ordering::Release);
-    }
-}
-
-/// Strategy for running the end-of-round wake recompute over all shards.
-/// `pending[si]` is the number of cores marked in shard `si` this round;
-/// shards with zero pending are skipped (their published min is still
-/// exact).
-trait WakePool {
-    fn recompute(&self, shards: &[Mutex<Shard>], mins: &[AtomicU64], pending: &[u32]);
-
-    /// Runs the round's recompute on the calling thread while the
-    /// driver still holds every shard guard, returning `true` when the
-    /// round is fully handled. Pools that would hand work to other
-    /// threads return `false`; the driver then drops the guards and
-    /// calls [`WakePool::recompute`]. The recompute itself is the same
-    /// pure function of published shard state either way, so which path
-    /// runs it cannot change results — only who takes the locks.
-    fn recompute_locked(
-        &self,
-        guards: &mut [MutexGuard<'_, Shard>],
-        mins: &[AtomicU64],
-        pending: &[u32],
-    ) -> bool {
-        let _ = (guards, mins, pending);
-        false
-    }
-}
-
-/// Recomputes every pending shard on the calling thread.
-fn recompute_inline(shards: &[Mutex<Shard>], mins: &[AtomicU64], pending: &[u32]) {
-    for ((m, min_out), &p) in shards.iter().zip(mins).zip(pending) {
-        if p > 0 {
-            m.lock().unwrap().recompute(min_out);
-        }
-    }
-}
-
-/// Single-threaded recompute (the `shards <= 1` path).
-struct Inline;
-
-impl WakePool for Inline {
-    fn recompute(&self, shards: &[Mutex<Shard>], mins: &[AtomicU64], pending: &[u32]) {
-        recompute_inline(shards, mins, pending);
-    }
-
-    fn recompute_locked(
-        &self,
-        guards: &mut [MutexGuard<'_, Shard>],
-        mins: &[AtomicU64],
-        pending: &[u32],
-    ) -> bool {
-        for ((g, min_out), &p) in guards.iter_mut().zip(mins).zip(pending) {
-            if p > 0 {
-                g.recompute(min_out);
-            }
-        }
-        true
-    }
-}
-
-/// Rounds this small are cheaper to run on the coordinator than to hand
-/// to the worker team (the handoff costs two fence/wake pairs per
-/// worker; a wake recompute is a few hundred nanoseconds).
-const INLINE_BATCH: u32 = 4;
-
-/// Per-round recompute batch threshold below which the coordinator runs
-/// the round itself. On a host without real parallelism the handoff can
-/// never pay for itself — every round costs two context switches on the
-/// only CPU — so the team is bypassed entirely (`u32::MAX`); sharded
-/// runs then degrade gracefully to inline recomputes instead of
-/// thrashing the scheduler, and stay bit-identical either way (the
-/// recompute is a pure function of published state, no matter which
-/// thread runs it).
-fn inline_threshold() -> u32 {
-    match std::thread::available_parallelism() {
-        Ok(p) if p.get() > 1 => INLINE_BATCH,
-        _ => u32::MAX,
-    }
-}
-
-/// Worker spin budget before yielding, and yield budget before parking
-/// on the condvar. Most rounds arrive back-to-back, so a short spin
-/// catches them without a syscall; parking bounds the cost when the
-/// coordinator goes quiet (inline-batch stretches, end of run).
-const SPIN_ROUNDS: u32 = 64;
-const YIELD_ROUNDS: u32 = 64;
-
-/// Round-gate state shared between the coordinator and workers: a
-/// generation counter the workers watch (spin, then yield, then park)
-/// and a done counter the coordinator watches. The mutex/condvar pair
-/// exists only for parked workers — on the common back-to-back-round
-/// path neither side takes a lock or makes a syscall, where the previous
-/// condvar gate cost ~2 context switches per worker per round.
-struct TeamState {
-    /// Incremented by the coordinator to start a recompute round.
-    round: AtomicU64,
-    /// Count of workers finished with the current round.
-    done: AtomicUsize,
-    /// Set to shut the team down.
-    stop: AtomicBool,
-    /// Number of workers parked on `go` (incremented under the lock, so
-    /// the coordinator's post-bump check cannot miss a sleeper).
-    sleepers: Mutex<usize>,
-    /// Parked workers wait here for a round bump (or stop).
-    go: Condvar,
-}
-
-/// Worker-thread recompute: shard 0 runs on the coordinator while the
-/// workers cover shards `1..`. Rounds with little to do skip the team
-/// entirely and run inline.
-struct Team<'a> {
-    team: &'a TeamState,
-    nworkers: usize,
-    /// Batches at or below this size run inline on the coordinator (see
-    /// [`inline_threshold`]).
-    inline_threshold: u32,
-}
-
-impl WakePool for Team<'_> {
-    fn recompute_locked(
-        &self,
-        guards: &mut [MutexGuard<'_, Shard>],
-        mins: &[AtomicU64],
-        pending: &[u32],
-    ) -> bool {
-        // Same batch-size cut as `recompute`: rounds the coordinator
-        // would run itself anyway skip the unlock/relock round-trip. On
-        // hosts without real parallelism (`inline_threshold` =
-        // `u32::MAX`) this is every round.
-        let total: u32 = pending.iter().sum();
-        let worker_pending: u32 = pending[1..].iter().sum();
-        if worker_pending != 0 && total > self.inline_threshold {
-            return false;
-        }
-        for ((g, min_out), &p) in guards.iter_mut().zip(mins).zip(pending) {
-            if p > 0 {
-                g.recompute(min_out);
-            }
-        }
-        true
-    }
-
-    fn recompute(&self, shards: &[Mutex<Shard>], mins: &[AtomicU64], pending: &[u32]) {
-        let total: u32 = pending.iter().sum();
-        let worker_pending: u32 = pending[1..].iter().sum();
-        if worker_pending == 0 || total <= self.inline_threshold {
-            recompute_inline(shards, mins, pending);
-            return;
-        }
-        let t = self.team;
-        t.done.store(0, Ordering::Relaxed);
-        // Release on the bump publishes the done reset (and the shard
-        // state written under the just-released shard locks) to workers
-        // acquiring the new round number.
-        t.round.fetch_add(1, Ordering::Release);
-        {
-            let sleepers = t.sleepers.lock().unwrap();
-            if *sleepers > 0 {
-                t.go.notify_all();
-            }
-        }
-        shards[0].lock().unwrap().recompute(&mins[0]);
-        let mut spins = 0u32;
-        while t.done.load(Ordering::Acquire) < self.nworkers {
-            spins += 1;
-            if spins < 4096 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-/// Worker loop: watch for a round bump (spin → yield → park), recompute
-/// the owned shard, report done. Shard data is synchronized by the shard
-/// mutex; the gate only sequences rounds. The stop check precedes the
-/// shard lock so workers never touch shard mutexes poisoned by a
-/// coordinator panic (deadlock diagnostics unwind while holding every
-/// shard guard).
-fn worker(si: usize, shards: &[Mutex<Shard>], mins: &[AtomicU64], team: &TeamState) {
-    let mut seen = 0u64;
-    loop {
-        let mut spins = 0u32;
-        loop {
-            if team.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let r = team.round.load(Ordering::Acquire);
-            if r != seen {
-                seen = r;
-                break;
-            }
-            spins += 1;
-            if spins < SPIN_ROUNDS {
-                std::hint::spin_loop();
-            } else if spins < SPIN_ROUNDS + YIELD_ROUNDS {
-                std::thread::yield_now();
-            } else {
-                let mut sleepers = team.sleepers.lock().unwrap();
-                // Re-check under the lock: the coordinator's post-bump
-                // sleeper check also takes it, so a bump between the
-                // loads above and here cannot be lost.
-                if !team.stop.load(Ordering::Acquire) && team.round.load(Ordering::Acquire) == seen
-                {
-                    *sleepers += 1;
-                    sleepers = team.go.wait(sleepers).unwrap();
-                    *sleepers -= 1;
-                }
-                drop(sleepers);
-                spins = 0;
-            }
-        }
-        shards[si].lock().unwrap().recompute(&mins[si]);
-        team.done.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Releases the worker team when the coordinator exits — including by
-/// panic (deadlock diagnostics), so `thread::scope` can still join.
-struct StopOnDrop<'a>(&'a TeamState);
-
-impl Drop for StopOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.stop.store(true, Ordering::Release);
-        if let Ok(_sleepers) = self.0.sleepers.lock() {
-            self.0.go.notify_all();
-        }
-    }
-}
-
-/// Runs the machine in `st` to completion under the event stepper,
-/// sharding the wake recompute across `shards` threads (`<= 1` =
-/// single-threaded; clamped to the processor count).
-pub(crate) fn event_loop(st: &mut DriverState, shards: usize) {
+/// Runs the machine in `st` to completion under the event stepper.
+///
+/// Each round runs at one simulated cycle `now` (the minimum over all
+/// wake times and the next memory-system fill): tick memory, then
+/// retire/trace/issue/fetch exactly the cores scheduled for this cycle,
+/// in core order — the same order and the same calls the strict driver
+/// makes on this cycle, minus calls that are provable no-ops.
+pub(crate) fn event_loop(st: &mut DriverState) {
     let nprocs = st.cores.len();
-    let nshards = shards.clamp(1, nprocs.max(1));
-    let sync0 = Arc::new(st.sync.clone());
-    let mut rest: Vec<Core> = std::mem::take(&mut st.cores);
-    let mut shard_vec: Vec<Mutex<Shard>> = Vec::with_capacity(nshards);
-    let (per, rem) = (nprocs / nshards, nprocs % nshards);
-    let mut base = 0;
-    for si in 0..nshards {
-        let len = per + usize::from(si < rem);
-        let cores: Vec<Core> = rest.drain(..len).collect();
-        shard_vec.push(Mutex::new(Shard {
-            base,
-            cores,
-            // Everything starts due at cycle 0, mirroring the strict
-            // driver's first cycle.
-            wake: vec![0; len],
-            charged_until: vec![0; len],
-            need: vec![false; len],
-            pending: 0,
-            now: 0,
-            sync: Arc::clone(&sync0),
-            // Everyone is due at cycle 0, matching the initial wakes.
-            due_local: (0..len as u32).collect(),
-        }));
-        base += len;
-    }
-    // Published per-shard minimum wake times; initially every core is
-    // due at cycle 0.
-    let mins: Vec<AtomicU64> = (0..nshards).map(|_| AtomicU64::new(0)).collect();
-    if nshards <= 1 {
-        drive(st, &shard_vec, &mins, &Inline);
-    } else {
-        let team = TeamState {
-            round: AtomicU64::new(0),
-            done: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            sleepers: Mutex::new(0),
-            go: Condvar::new(),
-        };
-        std::thread::scope(|scope| {
-            for si in 1..nshards {
-                let (shards_ref, mins_ref, team_ref) = (&shard_vec, &mins, &team);
-                scope.spawn(move || worker(si, shards_ref, mins_ref, team_ref));
-            }
-            let _stop = StopOnDrop(&team);
-            let pool = Team {
-                team: &team,
-                nworkers: nshards - 1,
-                inline_threshold: inline_threshold(),
-            };
-            drive(st, &shard_vec, &mins, &pool);
-        });
-    }
-    for m in shard_vec {
-        st.cores.extend(m.into_inner().unwrap().cores);
-    }
-}
-
-/// The event-driven round loop. Each round runs at one simulated cycle
-/// `now` (the minimum over all wake times and the next memory-system
-/// fill): tick memory, then retire/trace/issue/fetch exactly the cores
-/// scheduled for this cycle, in global core order — the same order and
-/// the same calls the strict driver makes on this cycle, minus calls
-/// that are provable no-ops.
-fn drive(st: &mut DriverState, shards: &[Mutex<Shard>], mins: &[AtomicU64], pool: &dyn WakePool) {
-    let nprocs = st.interps.len();
-    // `(shard, local, global)` index of every core stepped this round,
-    // in global core order. Lets the issue/trace/publish phases walk
-    // only the stepped set instead of rescanning every core; reused
-    // across rounds so the steady-state loop never allocates.
-    let mut due: Vec<(usize, usize, usize)> = Vec::with_capacity(nprocs);
-    let mut pending_counts = vec![0u32; shards.len()];
-    // Copy of each shard's published minimum wake, read back when the
-    // round clock is chosen: a shard's precomputed due set applies only
-    // to rounds landing exactly on its minimum.
-    let mut shard_mins = vec![0u64; shards.len()];
+    // Next cycle each core must be stepped (`NO_WAKE` = asleep).
+    // Everything starts due at cycle 0, mirroring the strict driver's
+    // first cycle.
+    let mut wake = vec![0u64; nprocs];
+    // First cycle not yet charged to each core's stall breakdown.
+    let mut charged_until = vec![0u64; nprocs];
+    // Cores whose wake time must be recomputed this round, and how many
+    // (a round with nothing marked — a fill-event-only round — skips the
+    // recompute entirely).
+    let mut need = vec![false; nprocs];
+    let mut pending: usize = 0;
+    // Minimum wake time and the cores that hold it, in core order. Both
+    // are rebuilt by every recompute and stay exact when it is skipped
+    // (nothing marked means no wake time moved). When the round's clock
+    // lands on `wake_min`, `due_min` is exactly the set of cores due by
+    // schedule, so the retire phase walks it instead of every core.
+    let mut wake_min: u64 = 0;
+    let mut due_min: Vec<usize> = (0..nprocs).collect();
+    // Cores stepped this round, in core order. Lets the trace/issue/mark
+    // phases walk only the stepped set; reused across rounds so the
+    // steady-state loop never allocates.
+    let mut due: Vec<usize> = Vec::with_capacity(nprocs);
     // Cores not yet halted; a core can only halt in its own retire call,
     // so the count stays exact without any rescan.
-    let mut live: usize = shards
-        .iter()
-        .map(|m| m.lock().unwrap().cores.iter().filter(|c| !c.halted).count())
-        .sum();
-    // Reused across rounds (`clear` drops the locks but keeps the
-    // capacity), so the steady-state loop never allocates.
-    let mut guards: Vec<MutexGuard<'_, Shard>> = Vec::with_capacity(shards.len());
+    let mut live = st.cores.iter().filter(|c| !c.halted).count();
     let mut now: u64 = 0;
     let mut last_progress_cycle: u64 = 0;
     loop {
-        // Guards persist across rounds whose recompute ran locked (the
-        // common case: single-shard runs and hosts where the team is
-        // bypassed); only a team handoff forces a drop and relock.
-        if guards.is_empty() {
-            guards.extend(shards.iter().map(|m| m.lock().unwrap()));
-        }
         st.memsys.tick(now);
         let flag_mark = st.sync.flag_log().len();
         let version_mark = st.sync.version();
         due.clear();
         let mut retired_delta: u64 = 0;
-        for (si, g) in guards.iter_mut().enumerate() {
-            let Shard {
-                base,
-                cores,
-                wake,
-                charged_until,
-                due_local,
-                ..
-            } = &mut **g;
-            let base = *base;
-            // Fast path: walk the shard's precomputed due set while no
-            // flag has been set this round. The due set is exact for
-            // rounds landing on the shard's minimum (every other round
-            // schedules none of its cores), and any fresh flag drops to
-            // the strict in-order scan below for the remaining cores, so
-            // same-cycle flag visibility is preserved exactly: cores
-            // before the switch point are lower-numbered than the
-            // setter, which strict visibility never reaches anyway.
-            let mut next_li = 0usize;
-            if shard_mins[si] == now {
-                let mut d = 0;
-                while d < due_local.len() && st.sync.flag_log().len() == flag_mark {
-                    let li = due_local[d] as usize;
-                    d += 1;
-                    next_li = li + 1;
-                    let core = &mut cores[li];
-                    if core.halted {
-                        continue;
-                    }
-                    core.charge_idle(now - charged_until[li]);
-                    let before = core.retired;
-                    core.retire(&mut st.sync, now);
-                    retired_delta += core.retired - before;
-                    charged_until[li] = now + 1;
-                    if core.halted {
-                        live -= 1;
-                    }
-                    due.push((si, li, base + li));
+        let mut retire = |st: &mut DriverState, p: usize| {
+            let core = &mut st.cores[p];
+            core.charge_idle(now - charged_until[p]);
+            let before = core.retired;
+            core.retire(&mut st.sync, now);
+            retired_delta += core.retired - before;
+            charged_until[p] = now + 1;
+            if core.halted {
+                live -= 1;
+            }
+            due.push(p);
+        };
+        // Fast path: walk the precomputed due set while no flag has been
+        // set this round. The due set is exact for rounds landing on
+        // `wake_min` (every other round schedules no core), and any fresh
+        // flag drops to the strict in-order scan below for the remaining
+        // cores, so same-cycle flag visibility is preserved exactly: cores
+        // before the switch point are lower-numbered than the setter,
+        // which strict visibility never reaches anyway.
+        let mut next_p = 0;
+        if wake_min == now {
+            let mut d = 0;
+            while d < due_min.len() && st.sync.flag_log().len() == flag_mark {
+                let p = due_min[d];
+                d += 1;
+                next_p = p + 1;
+                if !st.cores[p].halted {
+                    retire(st, p);
                 }
             }
-            if st.sync.flag_log().len() > flag_mark {
-                // A flag was set this round: finish the shard with the
-                // full scan — due by schedule, or pulled in by the flag
-                // (same-cycle visibility to higher-numbered processors,
-                // as under strict stepping).
-                for li in next_li..cores.len() {
-                    let core = &mut cores[li];
-                    if core.halted {
-                        continue;
-                    }
-                    let is_due = wake[li] <= now
+        }
+        if st.sync.flag_log().len() > flag_mark {
+            // A flag was set this round: finish with the full scan — due
+            // by schedule, or pulled in by the flag (same-cycle visibility
+            // to higher-numbered processors, as under strict stepping).
+            for (p, &w) in wake.iter().enumerate().skip(next_p) {
+                let core = &st.cores[p];
+                let is_due = !core.halted
+                    && (w <= now
                         || core
                             .head_flag_wait()
-                            .is_some_and(|f| st.sync.flag_log()[flag_mark..].contains(&f));
-                    if is_due {
-                        core.charge_idle(now - charged_until[li]);
-                        let before = core.retired;
-                        core.retire(&mut st.sync, now);
-                        retired_delta += core.retired - before;
-                        charged_until[li] = now + 1;
-                        if core.halted {
-                            live -= 1;
-                        }
-                        due.push((si, li, base + li));
-                    }
+                            .is_some_and(|f| st.sync.flag_log()[flag_mark..].contains(&f)));
+                if is_due {
+                    retire(st, p);
                 }
             }
         }
@@ -535,19 +140,18 @@ fn drive(st: &mut DriverState, shards: &[Mutex<Shard>], mins: &[AtomicU64], pool
             // continues the class of the last step across skipped
             // rounds), so the strict driver's per-cycle transition scan
             // reduces to the stepped set.
-            for &(si, li, _) in &due {
-                let g = &guards[si];
-                trace_stall_transition(&mut st.memsys, &mut st.stall_state, &g.cores[li], now);
+            for &p in &due {
+                trace_stall_transition(&mut st.memsys, &mut st.stall_state, &st.cores[p], now);
             }
         }
         if live == 0 {
             break;
         }
-        for &(si, li, gi) in &due {
-            let core = &mut guards[si].cores[li];
+        for &p in &due {
+            let core = &mut st.cores[p];
             if !core.halted {
                 core.issue(&mut st.memsys, now);
-                fetch_stage(core, &mut st.interps[gi], st.mem, now, &mut st.reuse);
+                fetch_stage(core, &mut st.interps[p], st.mem, now, &mut st.reuse);
             }
         }
         // Deadlock diagnostics, matching the per-cycle driver. Retire
@@ -556,70 +160,66 @@ fn drive(st: &mut DriverState, shards: &[Mutex<Shard>], mins: &[AtomicU64], pool
         if retired_delta > 0 {
             last_progress_cycle = now;
         } else if now - last_progress_cycle > DEADLOCK_WINDOW {
-            deadlock_panic(guards.iter().flat_map(|g| g.cores.iter()), now);
+            deadlock_panic(st.cores.iter(), now);
         }
-        // Publish this round's clock (and, when a barrier release was
-        // scheduled or a flag set, a fresh sync snapshot) and mark wake
-        // recomputes: every stepped core, plus — on a sync version
-        // change — every live core the change can actually reach. Sync
-        // events are the only way another processor's action can move a
-        // core's wake *earlier*, and `Core::next_event_time` reads sync
-        // state only through its head-of-window `Barrier`/`FlagWait`
+        // Mark wake recomputes: every stepped core, plus — on a sync
+        // version change — every live core the change can actually reach.
+        // Sync events are the only way another processor's action can
+        // move a core's wake *earlier*, and `Core::next_event_time` reads
+        // sync state only through its head-of-window `Barrier`/`FlagWait`
         // candidates, so the reachable set is exactly the cores whose
         // head is a sync wait plus cores asleep with no candidate
         // (parked, by invariant 2, on sync). An unstepped core outside
         // that set would recompute the value it already holds: its
         // window is untouched since its last recompute, and every
-        // candidate behind its current wake exceeds `now` (else it
-        // would have been stepped), so the `now+1` clamps still bind
+        // candidate behind its current wake exceeds `now` (else it would
+        // have been stepped), so the `now+1` clamps still bind
         // identically.
-        let version_changed = st.sync.version() != version_mark;
-        let snapshot = version_changed.then(|| Arc::new(st.sync.clone()));
-        for &(si, li, _) in &due {
-            let g = &mut *guards[si];
-            if !g.need[li] {
-                g.need[li] = true;
-                g.pending += 1;
+        for &p in &due {
+            if !need[p] {
+                need[p] = true;
+                pending += 1;
             }
         }
-        if version_changed {
-            // A sync event can move unstepped cores' wakes *earlier*;
-            // mark the reachable set (sync-wait heads and sleepers).
-            for g in guards.iter_mut() {
-                let Shard {
-                    cores,
-                    wake,
-                    need,
-                    pending,
-                    ..
-                } = &mut **g;
-                for (li, core) in cores.iter().enumerate() {
-                    if !need[li] && !core.halted && (wake[li] == NO_WAKE || core.head_sync_wait()) {
-                        need[li] = true;
-                        *pending += 1;
-                    }
+        if st.sync.version() != version_mark {
+            for (p, core) in st.cores.iter().enumerate() {
+                if !need[p] && !core.halted && (wake[p] == NO_WAKE || core.head_sync_wait()) {
+                    need[p] = true;
+                    pending += 1;
                 }
             }
         }
-        for (si, g) in guards.iter_mut().enumerate() {
-            pending_counts[si] = g.pending;
-            g.now = now;
-            if let Some(s) = &snapshot {
-                g.sync = Arc::clone(s);
+        // The recompute reads `st.sync` as it stands now. Sync state
+        // changes only inside the retire phase, and `next_event_time`
+        // reads it only through barrier-release and flag-set times, which
+        // are published by the same calls that bump the version — so a
+        // core whose wake is held from an earlier round saw the same
+        // values then.
+        if pending > 0 {
+            pending = 0;
+            wake_min = NO_WAKE;
+            due_min.clear();
+            for (p, core) in st.cores.iter().enumerate() {
+                if need[p] {
+                    need[p] = false;
+                    wake[p] = core.next_event_time(&st.sync, now).unwrap_or(NO_WAKE);
+                }
+                // Single pass: a new minimum restarts the due list;
+                // matches extend it. Amortized O(cores) — each index is
+                // pushed at most once per restart, and restarts strictly
+                // lower the minimum.
+                match wake[p].cmp(&wake_min) {
+                    std::cmp::Ordering::Less => {
+                        wake_min = wake[p];
+                        due_min.clear();
+                        due_min.push(p);
+                    }
+                    std::cmp::Ordering::Equal => due_min.push(p),
+                    std::cmp::Ordering::Greater => {}
+                }
             }
         }
-        if !pool.recompute_locked(&mut guards, mins, &pending_counts) {
-            guards.clear();
-            pool.recompute(shards, mins, &pending_counts);
-        }
-        // The recompute published each shard's min wake; combining them
-        // with the next memory-system fill needs no shard locks.
-        let mut next = st.memsys.next_event_time().unwrap_or(NO_WAKE);
-        for (si, m) in mins.iter().enumerate() {
-            let v = m.load(Ordering::Acquire);
-            shard_mins[si] = v;
-            next = next.min(v);
-        }
+        let next = st.memsys.next_event_time().unwrap_or(NO_WAKE).min(wake_min);
         if next == NO_WAKE {
             // No event anywhere: the run can never progress again. Jump
             // to the diagnostic horizon so the deadlock check above fires
@@ -637,74 +237,5 @@ fn drive(st: &mut DriverState, shards: &[Mutex<Shard>], mins: &[AtomicU64], pool
                 .record(now, SYSTEM_PROC, TraceEventKind::HorizonJump { span });
         }
         now = next;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn empty_shard() -> Mutex<Shard> {
-        Mutex::new(Shard {
-            base: 0,
-            cores: vec![],
-            wake: vec![],
-            charged_until: vec![],
-            need: vec![],
-            pending: 0,
-            now: 0,
-            sync: Arc::new(SyncState::new(1)),
-            due_local: vec![],
-        })
-    }
-
-    /// Drives the worker team's round gate directly: on a host without
-    /// real parallelism the production path runs inline (see
-    /// `inline_threshold`), so the spin/park/wake/stop machinery needs
-    /// explicit coverage. Forcing the threshold to 0 makes every round a
-    /// team round; enough rounds are driven (with pauses long enough for
-    /// workers to park) to exercise both the spinning and the parked
-    /// wakeup paths.
-    #[test]
-    fn team_rounds_complete_and_stop_releases_workers() {
-        let shards: Vec<Mutex<Shard>> = (0..3).map(|_| empty_shard()).collect();
-        let mins: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(0)).collect();
-        let team = TeamState {
-            round: AtomicU64::new(0),
-            done: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            sleepers: Mutex::new(0),
-            go: Condvar::new(),
-        };
-        std::thread::scope(|scope| {
-            for si in 1..3 {
-                let (shards_ref, mins_ref, team_ref) = (&shards, &mins, &team);
-                scope.spawn(move || worker(si, shards_ref, mins_ref, team_ref));
-            }
-            let _stop = StopOnDrop(&team);
-            let pool = Team {
-                team: &team,
-                nworkers: 2,
-                inline_threshold: 0,
-            };
-            for round in 0..200 {
-                for m in &shards[1..] {
-                    m.lock().unwrap().pending = 1;
-                }
-                pool.recompute(&shards, &mins, &[0, 1, 1]);
-                // The barrier guarantees both workers ran their shard's
-                // recompute (which cleared `pending`) before returning.
-                for m in &shards[1..] {
-                    assert_eq!(m.lock().unwrap().pending, 0, "round {round}");
-                }
-                if round % 50 == 0 {
-                    // Outlast the spin/yield budget so workers park and
-                    // the next round takes the notify path.
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-            }
-            // `_stop` drops here: workers must observe `stop` and exit,
-            // or `thread::scope` would hang the test.
-        });
     }
 }

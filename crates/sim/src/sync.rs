@@ -77,8 +77,8 @@ impl SyncState {
     }
 
     /// The cycle barrier `id` releases (None until the last processor has
-    /// arrived). Used by the cycle-skipping scheduler to find the next
-    /// cycle at which a waiting core can make progress.
+    /// arrived). Used by the event stepper to find the next cycle at
+    /// which a waiting core can make progress.
     pub fn barrier_release_time(&self, id: u32) -> Option<u64> {
         self.barriers.get(&id).and_then(|b| b.release_at)
     }

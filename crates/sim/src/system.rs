@@ -1,9 +1,7 @@
 //! The whole-system driver: cores + interpreters + memory system.
 
 use mempar_ir::{BytecodeProgram, Engine, Executor, Interp, Program, SimMem, Vm};
-use mempar_obs::{
-    MetricsRegistry, ReuseProfiler, ReuseSample, TraceEvent, TraceEventKind, Tracer, SYSTEM_PROC,
-};
+use mempar_obs::{MetricsRegistry, ReuseProfiler, ReuseSample, TraceEvent, TraceEventKind, Tracer};
 use mempar_stats::{Breakdown, LatencyStat, MemCounters, MshrOccupancy, StallClass, Utilization};
 
 use crate::config::MachineConfig;
@@ -15,25 +13,17 @@ use crate::sync::SyncState;
 /// Cycles without any retirement before the driver declares deadlock.
 pub(crate) const DEADLOCK_WINDOW: u64 = 4_000_000;
 
-/// How the driver advances the simulated clock. Every stepper produces
+/// How the driver advances the simulated clock. Both steppers produce
 /// bit-identical results (the equality-cube tests assert this); they
 /// differ only in how much host work each simulated cycle costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stepper {
-    /// Step every core every cycle — the reference driver.
+    /// Step every core every cycle — the reference driver the equality
+    /// tests compare against.
     Strict,
-    /// Event-horizon cycle skipping: step every core every cycle, but
-    /// when *no* core can retire, issue, or fetch before the next
-    /// scheduled event, jump the clock straight to that event and
-    /// account the skipped span in bulk.
-    Skip,
     /// Discrete-event stepping: each core carries its own next-event
     /// time and is only stepped in rounds where it is scheduled, so
-    /// event-dense multiprocessor runs stop paying per-cycle costs for
-    /// stalled or sync-blocked processors. Generalizes [`Stepper::Skip`]
-    /// (whose horizon is the minimum of the same per-core times) and is
-    /// the only stepper that can shard cores across worker threads (see
-    /// [`SimOptions::shards`]).
+    /// stalled or sync-blocked processors cost no per-cycle host work.
     Event,
 }
 
@@ -41,7 +31,6 @@ impl std::fmt::Display for Stepper {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Stepper::Strict => "strict",
-            Stepper::Skip => "skip",
             Stepper::Event => "event",
         })
     }
@@ -53,10 +42,9 @@ impl std::str::FromStr for Stepper {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "strict" => Ok(Stepper::Strict),
-            "skip" => Ok(Stepper::Skip),
             "event" => Ok(Stepper::Event),
             other => Err(format!(
-                "unknown stepper '{other}' (expected strict, skip, or event)"
+                "unknown stepper '{other}' (expected strict or event)"
             )),
         }
     }
@@ -67,19 +55,9 @@ impl std::str::FromStr for Stepper {
 pub struct SimOptions {
     /// Clock-advance strategy (see [`Stepper`]). Results are identical
     /// across steppers (the determinism tests assert this); simulation
-    /// speed improves by the per-core dead-cycle fraction.
-    ///
-    /// Defaults to [`Stepper::Event`]; building with the `strict-cycle`
-    /// feature flips the default to [`Stepper::Strict`], giving a
-    /// reference build that steps every core every cycle.
+    /// speed improves by the per-core dead-cycle fraction. Defaults to
+    /// [`Stepper::Event`].
     pub stepper: Stepper,
-    /// Worker threads the event stepper shards cores across (`0` or `1`
-    /// = run single-threaded). Sharding is deterministic: cycles,
-    /// traces, and metrics are bit-identical at every shard count,
-    /// because shared-state phases run on one thread in fixed core order
-    /// and the parallel window computes only per-core wake times.
-    /// Ignored by the strict and skip steppers.
-    pub shards: usize,
     /// Which functional engine feeds each core's fetch stage: the
     /// tree-walking interpreter or the bytecode register VM. Both yield
     /// bit-identical op streams (the difftest and golden-trace gates
@@ -96,12 +74,7 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            stepper: if cfg!(feature = "strict-cycle") {
-                Stepper::Strict
-            } else {
-                Stepper::Event
-            },
-            shards: 1,
+            stepper: Stepper::Event,
             engine: Engine::default(),
             protocol: Protocol::Directory,
         }
@@ -284,7 +257,7 @@ fn observed_inner(
 }
 
 /// Mutable machine state threaded through a stepper driver: everything
-/// the per-round phases touch, bundled so the strict/skip loop and the
+/// the per-round phases touch, bundled so the strict loop and the
 /// event-driven scheduler (see [`crate::sched`]) share one setup and
 /// teardown.
 pub(crate) struct DriverState<'m, 'p> {
@@ -426,9 +399,8 @@ fn run_inner(
         reuse,
     };
     match opts.stepper {
-        Stepper::Strict => cycle_loop(&mut st, false),
-        Stepper::Skip => cycle_loop(&mut st, true),
-        Stepper::Event => crate::sched::event_loop(&mut st, opts.shards),
+        Stepper::Strict => cycle_loop(&mut st),
+        Stepper::Event => crate::sched::event_loop(&mut st),
     }
     let DriverState {
         mut memsys,
@@ -469,10 +441,9 @@ fn run_inner(
     (result, memsys, cores, reuse)
 }
 
-/// The per-cycle driver behind [`Stepper::Strict`] and [`Stepper::Skip`]:
-/// every core runs retire → issue → fetch every executed cycle; with
-/// `cycle_skip` the clock jumps over spans where nothing can happen.
-fn cycle_loop(st: &mut DriverState, cycle_skip: bool) {
+/// The per-cycle driver behind [`Stepper::Strict`]: every core runs
+/// retire → issue → fetch every cycle.
+fn cycle_loop(st: &mut DriverState) {
     let mut now: u64 = 0;
     let mut last_retired: u64 = 0;
     let mut last_progress_cycle: u64 = 0;
@@ -511,57 +482,7 @@ fn cycle_loop(st: &mut DriverState, cycle_skip: bool) {
         } else if now - last_progress_cycle > DEADLOCK_WINDOW {
             deadlock_panic(st.cores.iter(), now);
         }
-        if cycle_skip {
-            // Event horizon: the earliest cycle at which anything can
-            // change — a memory fill, or any core retiring, issuing, or
-            // fetching. Dead cycles in between are provably no-ops, so
-            // account them in bulk and jump.
-            // Fast path: if any core just retired or has fetch room, the
-            // very next cycle is interesting — don't scan reorder buffers.
-            // This keeps the skip machinery near-free on event-dense runs
-            // (busy multiprocessor phases) where skips are rare.
-            let mut next: Option<u64> = if st.cores.iter().any(|c| c.made_progress()) {
-                Some(now + 1)
-            } else {
-                st.memsys.next_event_time()
-            };
-            if next != Some(now + 1) {
-                for core in &st.cores {
-                    if let Some(t) = core.next_event_time(&st.sync, now) {
-                        next = Some(next.map_or(t, |n| n.min(t)));
-                    }
-                    if next == Some(now + 1) {
-                        break;
-                    }
-                }
-            }
-            match next {
-                Some(t) if t > now + 1 => {
-                    let span = t - now - 1;
-                    if st.tracing {
-                        st.memsys.tracer_mut().record(
-                            now,
-                            SYSTEM_PROC,
-                            TraceEventKind::HorizonJump { span },
-                        );
-                    }
-                    for core in st.cores.iter_mut() {
-                        core.charge_idle(span);
-                    }
-                    now = t;
-                }
-                Some(_) => now += 1,
-                None => {
-                    // No event anywhere: the run can never progress again.
-                    // Jump to the diagnostic horizon so the deadlock check
-                    // above fires with the same cycle number strict
-                    // stepping would report.
-                    now = last_progress_cycle + DEADLOCK_WINDOW + 1;
-                }
-            }
-        } else {
-            now += 1;
-        }
+        now += 1;
     }
 }
 

@@ -13,8 +13,7 @@
 //!   unchanged);
 //! * the stepper, execution engine, and coherence protocol from
 //!   [`SimOptions`] — equal digests under *different* options must
-//!   never share a score (the `shards` knob is excluded: sharding is
-//!   bit-identical by the event stepper's determinism guarantee);
+//!   never share a score;
 //! * a fingerprint of the [`MachineConfig`] (cache geometry, window,
 //!   MSHRs, processor count, topology).
 //!
@@ -197,7 +196,7 @@ mod tests {
         let base = SimOptions::default();
         for opts in [
             SimOptions {
-                stepper: Stepper::Skip,
+                stepper: Stepper::Strict,
                 ..base
             },
             SimOptions {
@@ -211,12 +210,5 @@ mod tests {
         ] {
             assert_ne!(opts_signature(base), opts_signature(opts));
         }
-    }
-
-    #[test]
-    fn shards_do_not_rekey() {
-        let base = SimOptions::default();
-        let sharded = SimOptions { shards: 4, ..base };
-        assert_eq!(opts_signature(base), opts_signature(sharded));
     }
 }

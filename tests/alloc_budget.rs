@@ -47,14 +47,13 @@ static A: CountingAlloc = CountingAlloc;
 
 /// Runs fft-mp under the event stepper and returns (cycles, allocation
 /// count attributable to the run).
-fn run_counted(scale: f64, shards: usize) -> (u64, u64) {
+fn run_counted(scale: f64) -> (u64, u64) {
     let w = App::Fft.build(scale);
     let nprocs = w.mp_procs.max(1);
     let cfg = MachineConfig::base_simulated(nprocs, w.l2_bytes);
     let mut mem = w.memory(nprocs);
     let opts = SimOptions {
         stepper: Stepper::Event,
-        shards,
         ..SimOptions::default()
     };
     let a0 = ALLOCS.load(Ordering::Relaxed);
@@ -72,10 +71,10 @@ fn run_counted(scale: f64, shards: usize) -> (u64, u64) {
 fn event_hot_path_is_allocation_free_in_steady_state() {
     // Warm-up run so one-time lazy init (workload tables, etc.) does not
     // pollute the comparison.
-    let _ = run_counted(0.05, 1);
+    let _ = run_counted(0.05);
 
-    let (cycles_small, allocs_small) = run_counted(0.05, 1);
-    let (cycles_big, allocs_big) = run_counted(0.1, 1);
+    let (cycles_small, allocs_small) = run_counted(0.05);
+    let (cycles_big, allocs_big) = run_counted(0.1);
     // Sanity: the big run really does ~2x the work.
     assert!(cycles_big > cycles_small + cycles_small / 2);
 
@@ -93,20 +92,5 @@ fn event_hot_path_is_allocation_free_in_steady_state() {
         allocs_big < 50_000,
         "run made {allocs_big} allocations in total; setup should stay in \
          the low thousands"
-    );
-}
-
-/// Sharded coordination must not allocate per round either: the due
-/// lists, guards, and publish buffers are all reused.
-#[test]
-fn sharded_rounds_do_not_allocate() {
-    let _ = run_counted(0.05, 1);
-    let (_, allocs_sh1) = run_counted(0.05, 1);
-    let (_, allocs_sh4) = run_counted(0.05, 4);
-    let delta = allocs_sh4.saturating_sub(allocs_sh1);
-    assert!(
-        delta < 2_000,
-        "sharding added {delta} allocations ({allocs_sh1} -> {allocs_sh4}); \
-         the round loop should reuse its buffers"
     );
 }

@@ -43,8 +43,8 @@ fn observed_run(w: &Workload, stepper: Stepper) -> (String, SimObservation) {
     (format!("{r:?}"), obs)
 }
 
-/// Tracing enabled vs disabled, crossed with the three clock drivers:
-/// all six `SimResult`s must be bit-identical (compared through `Debug`,
+/// Tracing enabled vs disabled, crossed with the two clock drivers:
+/// all four `SimResult`s must be bit-identical (compared through `Debug`,
 /// which prints floats at shortest-roundtrip precision).
 #[test]
 fn tracing_is_invisible_in_results() {
@@ -52,7 +52,7 @@ fn tracing_is_invisible_in_results() {
         let w = app.build(0.03);
         let cfg = MachineConfig::base_simulated(1, w.l2_bytes);
         let mut results = Vec::new();
-        for stepper in [Stepper::Strict, Stepper::Skip, Stepper::Event] {
+        for stepper in [Stepper::Strict, Stepper::Event] {
             let mut mem = w.memory(1);
             let untraced = run_program_with(
                 &w.program,
@@ -83,10 +83,10 @@ fn tracing_is_invisible_in_results() {
     }
 }
 
-/// The trace itself must not depend on the driver mode: skipping and
-/// event stepping only compress idle spans, so every miss/MSHR/stall
-/// event must appear at the same cycle in every mode (horizon jumps are
-/// scheduler bookkeeping and are filtered out before comparing).
+/// The trace itself must not depend on the driver mode: event stepping
+/// only compresses idle spans, so every miss/MSHR/stall event must
+/// appear at the same cycle in both modes (horizon jumps are scheduler
+/// bookkeeping and are filtered out before comparing).
 #[test]
 fn trace_events_match_across_driver_modes() {
     let w = pinned_latbench();
@@ -98,14 +98,12 @@ fn trace_events_match_across_driver_modes() {
             .collect()
     };
     let (_, strict) = observed_run(&w, Stepper::Strict);
-    for stepper in [Stepper::Skip, Stepper::Event] {
-        let (_, other) = observed_run(&w, stepper);
-        assert_eq!(
-            scrub(&strict),
-            scrub(&other),
-            "{stepper} trace diverges from strict"
-        );
-    }
+    let (_, event) = observed_run(&w, Stepper::Event);
+    assert_eq!(
+        scrub(&strict),
+        scrub(&event),
+        "event trace diverges from strict"
+    );
 }
 
 /// End-to-end profile sanity on a real workload pair: clustering must
@@ -135,11 +133,10 @@ fn profiler_reports_clustering_gain() {
 }
 
 fn golden_trace_json() -> String {
-    // Pinned to the skip stepper: its HorizonJump spans are part of the
-    // blessed snapshot, so changing the stepper here would force a
-    // re-bless for a pure bookkeeping difference.
+    // Pinned to the event stepper: its HorizonJump spans are part of the
+    // blessed snapshot (strict stepping records none).
     let w = pinned_latbench();
-    let (_, obs) = observed_run(&w, Stepper::Skip);
+    let (_, obs) = observed_run(&w, Stepper::Event);
     assert_eq!(obs.dropped, 0, "pinned config must fit the ring");
     let runs = [ChromeRun {
         name: "latbench/golden",

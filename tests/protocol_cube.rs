@@ -17,7 +17,7 @@
 //!   (retired ops, loads, stores, prefetches) must match the directory
 //!   reference — the trace-digest/fingerprint anchor plus the counter
 //!   match is the cross-protocol identity;
-//! * within each protocol, the stepper/engine/shard cube must be
+//! * within each protocol, the stepper/engine cube must be
 //!   bit-identical (full `Debug`-rendered [`mempar_sim::SimResult`]),
 //!   exactly as `stepper_cube.rs` asserts for the directory default.
 
@@ -122,9 +122,8 @@ fn check_seed(seed: u64) -> Option<String> {
         1
     };
     let (digest_hash, anchor_fp) = functional_anchor(&built, nprocs);
-    let opts = |protocol, stepper, shards, engine| SimOptions {
+    let opts = |protocol, stepper, engine| SimOptions {
         stepper,
-        shards,
         engine,
         protocol,
     };
@@ -132,7 +131,7 @@ fn check_seed(seed: u64) -> Option<String> {
     let dir_ref = run_leg(
         &built,
         nprocs,
-        opts(Protocol::Directory, Stepper::Event, 1, Engine::Bytecode),
+        opts(Protocol::Directory, Stepper::Event, Engine::Bytecode),
     );
     if dir_ref.fingerprint != anchor_fp {
         return Some(format!(
@@ -147,7 +146,7 @@ fn check_seed(seed: u64) -> Option<String> {
         let proto_ref = run_leg(
             &built,
             nprocs,
-            opts(protocol, Stepper::Event, 1, Engine::Bytecode),
+            opts(protocol, Stepper::Event, Engine::Bytecode),
         );
         if proto_ref.functional != dir_ref.functional {
             return Some(format!(
@@ -163,23 +162,15 @@ fn check_seed(seed: u64) -> Option<String> {
                 proto_ref.fingerprint
             ));
         }
-        // Within the protocol: the stepper, shard, and engine axes must
-        // be bit-identical to the protocol's own event reference.
-        let mut legs = vec![
+        // Within the protocol: the stepper and engine axes must be
+        // bit-identical to the protocol's own event reference.
+        let legs = [
             (
                 "strict",
                 run_leg(
                     &built,
                     nprocs,
-                    opts(protocol, Stepper::Strict, 1, Engine::Bytecode),
-                ),
-            ),
-            (
-                "skip",
-                run_leg(
-                    &built,
-                    nprocs,
-                    opts(protocol, Stepper::Skip, 1, Engine::Bytecode),
+                    opts(protocol, Stepper::Strict, Engine::Bytecode),
                 ),
             ),
             (
@@ -187,22 +178,10 @@ fn check_seed(seed: u64) -> Option<String> {
                 run_leg(
                     &built,
                     nprocs,
-                    opts(protocol, Stepper::Event, 1, Engine::Interp),
+                    opts(protocol, Stepper::Event, Engine::Interp),
                 ),
             ),
         ];
-        if nprocs > 1 {
-            for (name, shards) in [("event-sh2", 2), ("event-sh4", 4)] {
-                legs.push((
-                    name,
-                    run_leg(
-                        &built,
-                        nprocs,
-                        opts(protocol, Stepper::Event, shards, Engine::Bytecode),
-                    ),
-                ));
-            }
-        }
         for (name, leg) in &legs {
             if leg.debug != proto_ref.debug {
                 return Some(format!(

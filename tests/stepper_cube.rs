@@ -4,10 +4,8 @@
 //! sweep pins it on the difftest generator's output — every committed
 //! corpus reproducer seed, every pinned golden seed, and a block of
 //! fresh seeds. For each generated program the simulator runs under
-//! strict, skip, and event stepping (and, for multiprocessor specs,
-//! event stepping sharded across 2 and 4 worker threads), and every
-//! [`SimResult`] field plus the final memory-image fingerprint must be
-//! bit-identical to the strict reference. The comparison goes through
+//! strict and event stepping, and every [`SimResult`] field plus the
+//! final memory-image fingerprint must be bit-identical between them. The comparison goes through
 //! `Debug` formatting, which prints floats with shortest-roundtrip
 //! precision, so any bit-level divergence shows up.
 
@@ -63,7 +61,7 @@ fn check_seed(seed: u64) -> Option<String> {
         1
     };
     let reference = run_leg(seed, nprocs, SimOptions::default());
-    let strict = run_leg(
+    let (result, fp) = run_leg(
         seed,
         nprocs,
         SimOptions {
@@ -71,47 +69,17 @@ fn check_seed(seed: u64) -> Option<String> {
             ..SimOptions::default()
         },
     );
-    let mut legs = vec![("strict", strict)];
-    legs.push((
-        "skip",
-        run_leg(
-            seed,
-            nprocs,
-            SimOptions {
-                stepper: Stepper::Skip,
-                ..SimOptions::default()
-            },
-        ),
-    ));
-    if nprocs > 1 {
-        for (name, shards) in [("event-sh2", 2), ("event-sh4", 4)] {
-            legs.push((
-                name,
-                run_leg(
-                    seed,
-                    nprocs,
-                    SimOptions {
-                        stepper: Stepper::Event,
-                        shards,
-                        ..SimOptions::default()
-                    },
-                ),
-            ));
-        }
+    if result != reference.0 {
+        return Some(format!(
+            "seed {seed} ({nprocs}p): strict SimResult diverges from the event reference"
+        ));
     }
-    for (name, (result, fp)) in &legs {
-        if result != &reference.0 {
-            return Some(format!(
-                "seed {seed} ({nprocs}p): {name} SimResult diverges from the event reference"
-            ));
-        }
-        if *fp != reference.1 {
-            return Some(format!(
-                "seed {seed} ({nprocs}p): {name} memory fingerprint diverges \
-                 ({fp:#018x} vs {:#018x})",
-                reference.1
-            ));
-        }
+    if fp != reference.1 {
+        return Some(format!(
+            "seed {seed} ({nprocs}p): strict memory fingerprint diverges \
+             ({fp:#018x} vs {:#018x})",
+            reference.1
+        ));
     }
     None
 }

@@ -1,9 +1,8 @@
-//! The stepper equality cube: every clock-advance strategy must be
+//! The stepper equality cube: the clock-advance strategy must be
 //! invisible in the results. Each field of [`SimResult`] — cycle counts,
 //! stall breakdowns, memory counters, latency stats, MSHR occupancy
-//! histograms — must be bit-identical between strict per-cycle stepping,
-//! event-horizon skipping, and discrete-event stepping (single-threaded
-//! and sharded across 2 and 4 worker threads). The comparison goes
+//! histograms — must be bit-identical between strict per-cycle stepping
+//! and discrete-event stepping. The comparison goes
 //! through `Debug` formatting, which prints floats with
 //! shortest-roundtrip precision, so any bit-level divergence shows up.
 //!
@@ -21,10 +20,9 @@ use mempar_sim::{
 };
 use mempar_workloads::App;
 
-fn options(stepper: Stepper, shards: usize, engine: Engine) -> SimOptions {
+fn options(stepper: Stepper, engine: Engine) -> SimOptions {
     SimOptions {
         stepper,
-        shards,
         engine,
         protocol: Protocol::Directory,
     }
@@ -61,12 +59,7 @@ fn assert_identical(app: App, mp: bool) {
     // stepped every cycle on one host thread), so they run at a smaller
     // scale; the cube is about equality, not workload size.
     let scale = if mp { 0.03 } else { 0.05 };
-    let strict = run_debug(
-        app,
-        scale,
-        mp,
-        options(Stepper::Strict, 1, Engine::Bytecode),
-    );
+    let strict = run_debug(app, scale, mp, options(Stepper::Strict, Engine::Bytecode));
     let ctx = |leg: &str, engine: Engine| {
         format!(
             "{} ({}, engine {engine}, {leg}) diverges from strict stepping",
@@ -75,64 +68,37 @@ fn assert_identical(app: App, mp: bool) {
         )
     };
     // The stepper and tracing axes, under the default (bytecode) engine.
-    for stepper in [Stepper::Skip, Stepper::Event] {
-        let leg = run_debug(app, scale, mp, options(stepper, 1, Engine::Bytecode));
-        assert_eq!(
-            leg,
-            strict,
-            "{}",
-            ctx(&stepper.to_string(), Engine::Bytecode)
-        );
-        let traced = run_debug_traced(app, scale, mp, options(stepper, 1, Engine::Bytecode));
-        assert_eq!(
-            traced,
-            strict,
-            "{}",
-            ctx(&format!("{stepper}+trace"), Engine::Bytecode)
-        );
-    }
-    // Deterministic sharding: bit-identical at every thread count.
-    for shards in [2, 4] {
-        let leg = run_debug(
-            app,
-            scale,
-            mp,
-            options(Stepper::Event, shards, Engine::Bytecode),
-        );
-        assert_eq!(
-            leg,
-            strict,
-            "{}",
-            ctx(&format!("event, {shards} shards"), Engine::Bytecode)
-        );
-    }
+    let event = options(Stepper::Event, Engine::Bytecode);
+    let leg = run_debug(app, scale, mp, event);
+    assert_eq!(leg, strict, "{}", ctx("event", Engine::Bytecode));
+    let traced = run_debug_traced(app, scale, mp, event);
+    assert_eq!(traced, strict, "{}", ctx("event+trace", Engine::Bytecode));
     // The engine axis: the tree-walking interpreter must agree at the
     // strict corner (same driver, different front-end) and at the event
     // corner (engine x stepper interaction). Exhaustive engine
     // invisibility on the op-stream level is `tests/engine_diff.rs`'s
     // job; simulated-cycle invisibility needs only these two corners
     // plus `benchsim`'s per-run assertion.
-    let strict_tw = run_debug(app, scale, mp, options(Stepper::Strict, 1, Engine::Interp));
+    let strict_tw = run_debug(app, scale, mp, options(Stepper::Strict, Engine::Interp));
     assert_eq!(strict_tw, strict, "{}", ctx("strict", Engine::Interp));
-    let event_tw = run_debug(app, scale, mp, options(Stepper::Event, 1, Engine::Interp));
+    let event_tw = run_debug(app, scale, mp, options(Stepper::Event, Engine::Interp));
     assert_eq!(event_tw, strict, "{}", ctx("event", Engine::Interp));
 }
 
 /// The protocol axis of the cube: each alternative coherence machine has
-/// its own cycle counts, but within a protocol every stepper, engine,
-/// and shard count must still be bit-identical. Runs at a smaller scale
+/// its own cycle counts, but within a protocol every stepper and engine
+/// must still be bit-identical. Runs at a smaller scale
 /// than the directory cube — the strict reference leg is the expensive
 /// corner and there are three extra machines to cover.
 fn assert_identical_per_protocol(app: App, mp: bool) {
     let scale = if mp { 0.02 } else { 0.03 };
     for protocol in [Protocol::Mesi, Protocol::Moesi, Protocol::Dragon] {
-        let opts = |stepper, shards, engine| SimOptions {
+        let opts = |stepper, engine| SimOptions {
             stepper,
-            shards,
             engine,
             protocol,
         };
-        let strict = run_debug(app, scale, mp, opts(Stepper::Strict, 1, Engine::Bytecode));
+        let strict = run_debug(app, scale, mp, opts(Stepper::Strict, Engine::Bytecode));
         let ctx = |leg: &str| {
             format!(
                 "{} ({}, protocol {protocol}, {leg}) diverges from strict stepping",
@@ -140,16 +106,10 @@ fn assert_identical_per_protocol(app: App, mp: bool) {
                 if mp { "mp" } else { "up" }
             )
         };
-        for stepper in [Stepper::Skip, Stepper::Event] {
-            let leg = run_debug(app, scale, mp, opts(stepper, 1, Engine::Bytecode));
-            assert_eq!(leg, strict, "{}", ctx(&stepper.to_string()));
-        }
-        let strict_tw = run_debug(app, scale, mp, opts(Stepper::Strict, 1, Engine::Interp));
+        let leg = run_debug(app, scale, mp, opts(Stepper::Event, Engine::Bytecode));
+        assert_eq!(leg, strict, "{}", ctx("event"));
+        let strict_tw = run_debug(app, scale, mp, opts(Stepper::Strict, Engine::Interp));
         assert_eq!(strict_tw, strict, "{}", ctx("strict interp"));
-        if mp {
-            let sharded = run_debug(app, scale, mp, opts(Stepper::Event, 2, Engine::Bytecode));
-            assert_eq!(sharded, strict, "{}", ctx("event, 2 shards"));
-        }
     }
 }
 
@@ -164,7 +124,7 @@ fn assert_identical_per_protocol(app: App, mp: bool) {
 /// codebase, however plausible the new numbers look.
 #[test]
 fn fast_path_matches_seed_golden_cycles() {
-    let cycles = |scale: f64, shards: usize| {
+    let cycles = |scale: f64| {
         let w = App::Fft.build(scale);
         let nprocs = w.mp_procs.max(1);
         let cfg = MachineConfig::base_simulated(nprocs, 64 * 1024);
@@ -173,24 +133,22 @@ fn fast_path_matches_seed_golden_cycles() {
             &w.program,
             &mut mem,
             &cfg,
-            options(Stepper::Event, shards, Engine::Bytecode),
+            options(Stepper::Event, Engine::Bytecode),
         )
         .cycles
     };
     // fft-mp under the event stepper, as recorded from the pre-fast-path
     // tree (seed commit c928b48) and reverified after every hot-path
     // data-structure change in the fast-path series.
-    assert_eq!(cycles(0.05, 1), 94_722, "fft-mp scale 0.05, 1 shard");
-    assert_eq!(cycles(0.05, 2), 94_722, "fft-mp scale 0.05, 2 shards");
-    assert_eq!(cycles(0.05, 4), 94_722, "fft-mp scale 0.05, 4 shards");
-    assert_eq!(cycles(0.1, 1), 207_640, "fft-mp scale 0.1, 1 shard");
+    assert_eq!(cycles(0.05), 94_722, "fft-mp scale 0.05");
+    assert_eq!(cycles(0.1), 207_640, "fft-mp scale 0.1");
 }
 
 #[test]
 fn latbench_steppers_agree() {
-    // Pointer chase: the best case for skipping (window-full stalls on
-    // dependent misses), so also the most likely to expose bulk-account
-    // errors.
+    // Pointer chase: the best case for event stepping (window-full
+    // stalls on dependent misses), so also the most likely to expose
+    // bulk-account errors.
     assert_identical(App::Latbench, false);
 }
 
@@ -226,8 +184,8 @@ fn latbench_steppers_agree_per_protocol() {
 #[test]
 fn fft_steppers_agree_multiprocessor_per_protocol() {
     // Shared lines across barrier phases: invalidations (MESI/MOESI)
-    // and bus updates (Dragon) ride the same event queue under every
-    // stepper and shard count.
+    // and bus updates (Dragon) ride the same event queue under both
+    // steppers.
     assert_identical_per_protocol(App::Fft, true);
 }
 

@@ -124,10 +124,6 @@ fn cached_scores_never_cross_sim_options() {
             ..SimOptions::default()
         },
         SimOptions {
-            stepper: Stepper::Skip,
-            ..SimOptions::default()
-        },
-        SimOptions {
             engine: mempar::Engine::Interp,
             ..SimOptions::default()
         },
