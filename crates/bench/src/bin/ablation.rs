@@ -10,8 +10,11 @@
 //! Run on Latbench and Erlebacher (one address-recurrence and one
 //! cache-line-recurrence workload) by default.
 
-use mempar::{machine_summary, profile_miss_rates, run_program_with, MachineConfig, SimOptions};
-use mempar_bench::{parse_args, run_matrix};
+use mempar::{
+    machine_summary, profile_miss_rates, run_pair_with, run_program_with, MachineConfig,
+    PairOptions, SimOptions,
+};
+use mempar_bench::{parse_args_unobserved, run_matrix};
 use mempar_stats::{format_rows, Row};
 use mempar_transform::{
     cluster_program, inner_unroll, innermost_loops, insert_prefetches, schedule_balanced,
@@ -20,7 +23,7 @@ use mempar_transform::{
 use mempar_workloads::{erlebacher, latbench, mp3d, ErlebacherParams, LatbenchParams, Mp3dParams};
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args_unobserved();
     let opts = args.sim_options();
     mshr_sweep(args.scale, args.threads, opts);
     window_sweep(args.scale, args.threads, opts);
@@ -167,7 +170,15 @@ fn mshr_sweep(scale: f64, threads: usize, opts: SimOptions) {
             l1.mshrs = mshrs;
         }
         cfg.name = format!("mshr-{mshrs}");
-        let pair = mempar::run_pair_with(&w, &cfg, opts);
+        let pair = run_pair_with(
+            &w,
+            &cfg,
+            PairOptions {
+                sim: opts,
+                ..PairOptions::default()
+            },
+        )
+        .pair;
         Row::new(
             format!("{mshrs} MSHRs"),
             vec![
@@ -196,7 +207,15 @@ fn window_sweep(scale: f64, threads: usize, opts: SimOptions) {
         cfg.proc.window = window;
         cfg.proc.mem_queue = (window / 2).max(8);
         cfg.name = format!("window-{window}");
-        let pair = mempar::run_pair_with(&w, &cfg, opts);
+        let pair = run_pair_with(
+            &w,
+            &cfg,
+            PairOptions {
+                sim: opts,
+                ..PairOptions::default()
+            },
+        )
+        .pair;
         Row::new(
             format!("W={window}"),
             vec![

@@ -26,19 +26,19 @@
 use mempar::{measure_locality, sim_reuse_profiler};
 use mempar_analysis::Locality;
 use mempar_bench::{
-    bench_sim_json, log_enabled, parse_args, timed, FrontendBenchRecord, LocalityBenchRecord,
-    LogLevel, SimBenchRecord, TuneBenchRecord,
+    bench_sim_json, log_enabled, parse_args_unobserved, timed, FrontendBenchRecord,
+    LocalityBenchRecord, LogLevel, SimBenchRecord, TuneBenchRecord,
 };
 use mempar_ir::{BytecodeProgram, Interp, Vm};
 use mempar_sim::{
-    run_program_observed, run_program_observed_reuse, run_program_with, Engine, MachineConfig,
-    Protocol, ReuseConfig, SimOptions, Stepper, Tracer,
+    run_program_observed, run_program_with, Engine, MachineConfig, Protocol, ReuseConfig,
+    SimOptions, Stepper, Tracer,
 };
 use mempar_tune::{tune_workload, TuneOptions, Tuner};
 use mempar_workloads::App;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args_unobserved();
     // Latbench's pointer chase is the headline (window-full dependent
     // misses — the best case for event stepping); Erlebacher and FFT cover a
     // regular uniprocessor stream and a barrier-synchronized
@@ -274,7 +274,14 @@ fn main() {
         for _ in 0..3 {
             let mut mem = w.memory(nprocs);
             let ((r_off, _), secs) = timed(|| {
-                run_program_observed(&w.program, &mut mem, &cfg, opts, Tracer::with_capacity(0))
+                run_program_observed(
+                    &w.program,
+                    &mut mem,
+                    &cfg,
+                    opts,
+                    Tracer::with_capacity(0),
+                    None,
+                )
             });
             assert_eq!(
                 r_off.cycles, cycles_by_mode[0],
@@ -282,14 +289,14 @@ fn main() {
             );
             sim_best = sim_best.min(secs);
             let mut mem = w.memory(nprocs);
-            let ((r_tap, _, _), secs) = timed(|| {
-                run_program_observed_reuse(
+            let ((r_tap, _), secs) = timed(|| {
+                run_program_observed(
                     &w.program,
                     &mut mem,
                     &cfg,
                     opts,
                     Tracer::with_capacity(0),
-                    sim_reuse_profiler(&w.program, &cfg, ReuseConfig::default()),
+                    Some(sim_reuse_profiler(&w.program, &cfg, ReuseConfig::default())),
                 )
             });
             assert_eq!(

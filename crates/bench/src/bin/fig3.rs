@@ -9,11 +9,10 @@
 //! ```
 
 use mempar_bench::{
-    parse_args, run_app_locality, run_matrix, simulated_config, summarize_pair,
-    write_locality_outputs,
+    parse_args, run_app, run_matrix, simulated_config, summarize_pair, write_locality_outputs,
+    write_observation_outputs,
 };
 use mempar_stats::{format_breakdown_table, render_breakdown_bars};
-use mempar_workloads::App;
 
 fn main() {
     let args = parse_args();
@@ -47,11 +46,12 @@ fn main() {
     // in application order, so stdout is identical at any thread count.
     let results = run_matrix(args.threads, &apps, |&app| {
         let cfg = simulated_config(app, args.scale, mp, ghz);
-        run_app_locality(app, &cfg, args.scale, args.sim_options(), args.locality)
+        run_app(app, &cfg, args.scale, args.pair_options())
     });
     let mut entries = Vec::new();
     let mut reductions = Vec::new();
-    for (app, (pair, _)) in apps.iter().zip(&results) {
+    for (app, out) in apps.iter().zip(&results) {
+        let pair = &out.pair;
         println!("{}", summarize_pair(pair));
         println!("  transforms:\n{}", indent(&pair.report.summary()));
         reductions.push(pair.percent_reduction());
@@ -83,11 +83,11 @@ fn main() {
     }
     let locality_entries: Vec<(&str, &mempar::LocalityArtifacts)> = apps
         .iter()
-        .zip(results.iter())
-        .filter_map(|(app, (_, a))| a.as_ref().map(|a| (app.name(), a)))
+        .zip(&results)
+        .filter_map(|(app, out)| out.locality.as_ref().map(|a| (app.name(), a)))
         .collect();
     write_locality_outputs(&args, &locality_entries);
-    let _ = App::all();
+    write_observation_outputs(&args, &results);
 }
 
 fn indent(s: &str) -> String {

@@ -7,7 +7,8 @@
 //! writes (contention).
 
 use mempar_bench::{
-    parse_args, run_app_locality, run_matrix, simulated_config, write_locality_outputs,
+    parse_args, run_app, run_matrix, simulated_config, write_locality_outputs,
+    write_observation_outputs,
 };
 use mempar_stats::{format_occupancy_curves, render_occupancy_chart};
 use mempar_workloads::App;
@@ -20,11 +21,11 @@ fn main() {
     }
     let results = run_matrix(args.threads, &args.apps, |&app| {
         let cfg = simulated_config(app, args.scale, true, false);
-        run_app_locality(app, &cfg, args.scale, args.sim_options(), args.locality)
+        run_app(app, &cfg, args.scale, args.pair_options())
     });
-    let pairs: Vec<_> = results.iter().map(|(p, _)| p).collect();
     let mut entries = Vec::new();
-    for (&app, pair) in args.apps.iter().zip(&pairs) {
+    for (&app, out) in args.apps.iter().zip(&results) {
+        let pair = &out.pair;
         entries.push((app.name().to_string(), pair.base.occupancy.clone()));
         entries.push((
             format!("{}(clust)", app.name()),
@@ -64,8 +65,9 @@ fn main() {
     let locality_entries: Vec<(&str, &mempar::LocalityArtifacts)> = args
         .apps
         .iter()
-        .zip(results.iter())
-        .filter_map(|(app, (_, a))| a.as_ref().map(|a| (app.name(), a)))
+        .zip(&results)
+        .filter_map(|(app, out)| out.locality.as_ref().map(|a| (app.name(), a)))
         .collect();
     write_locality_outputs(&args, &locality_entries);
+    write_observation_outputs(&args, &results);
 }

@@ -3,7 +3,7 @@
 //! 5.34×), the contention-driven growth of *total* miss latency
 //! (171 ns → 316 ns) and bus/memory-bank utilization (> 85 % clustered).
 
-use mempar::{observe_pair_locality, run_pair_locality, MachineConfig, DEFAULT_TRACE_CAPACITY};
+use mempar::{run_pair_with, MachineConfig, PairOptions};
 use mempar_bench::{parse_args, run_matrix, write_locality_outputs, write_observation_outputs};
 use mempar_stats::{format_rows, Row};
 use mempar_workloads::{latbench, LatbenchParams};
@@ -19,16 +19,23 @@ fn main() {
     );
     let w = latbench(params);
     // Both machine configurations over the worker pool; results come back
-    // in input order (base system first, Exemplar-like second).
-    let cfgs = [
-        MachineConfig::base_simulated(1, 64 * 1024),
-        MachineConfig::exemplar(1),
+    // in input order (base system first, Exemplar-like second). Only the
+    // base-system cell is traced, and only when the flags ask for it.
+    let opts = args.pair_options();
+    let cells = [
+        (MachineConfig::base_simulated(1, 64 * 1024), opts),
+        (
+            MachineConfig::exemplar(1),
+            PairOptions {
+                trace: None,
+                ..opts
+            },
+        ),
     ];
-    let mut pairs = run_matrix(args.threads, &cfgs, |cfg| {
-        run_pair_locality(&w, cfg, args.sim_options(), args.locality)
+    let outcomes = run_matrix(args.threads, &cells, |(cfg, opts)| {
+        run_pair_with(&w, cfg, *opts)
     });
-    let (pair_ex, _) = pairs.pop().expect("exemplar run");
-    let (pair, artifacts) = pairs.pop().expect("base run");
+    let (pair, pair_ex) = (&outcomes[0].pair, &outcomes[1].pair);
     assert!(pair.outputs_match, "clustering changed Latbench results");
 
     println!("\ntransformations applied:\n{}", pair.report.summary());
@@ -98,32 +105,12 @@ fn main() {
         pair_ex.clustered.avg_read_miss_stall_ns(),
     );
 
-    // Observability rerun: same base-system experiment with the tracer
-    // attached (bit-identical cycle counts — asserted here), exporting
-    // whatever the --trace-out/--metrics-out/--profile-refs flags asked
-    // for.
     // Measured-locality outputs: the sampled reuse report and the
     // predicted-vs-measured calibration table (plus --reuse-out JSON).
-    if let Some(a) = &artifacts {
+    if let Some(a) = &outcomes[0].locality {
         write_locality_outputs(&args, &[("latbench", a)]);
     }
-
-    if args.wants_observation() {
-        let (observed, _) = observe_pair_locality(
-            &w,
-            &cfgs[0],
-            DEFAULT_TRACE_CAPACITY,
-            args.sim_options(),
-            args.locality,
-        );
-        assert_eq!(
-            observed.base.result.cycles, pair.base.cycles,
-            "tracing changed the base run's cycle count"
-        );
-        assert_eq!(
-            observed.clustered.result.cycles, pair.clustered.cycles,
-            "tracing changed the clustered run's cycle count"
-        );
-        write_observation_outputs(&args, &[&observed.base, &observed.clustered]);
-    }
+    // The traced base-system runs: whatever the --trace-out /
+    // --metrics-out / --profile-refs flags asked for.
+    write_observation_outputs(&args, &outcomes);
 }

@@ -2,7 +2,7 @@
 //! [`MachineConfig::base_simulated`], for comparison with the paper.
 
 use mempar::MachineConfig;
-use mempar_bench::{parse_args, run_matrix};
+use mempar_bench::{parse_args_unobserved, run_matrix};
 use mempar_stats::{format_rows, Row};
 
 /// Each Table 1 row as a function of the configuration, so the listing
@@ -107,7 +107,7 @@ const ROWS: &[fn(&MachineConfig) -> Row] = &[
 ];
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args_unobserved();
     let c = MachineConfig::base_simulated(16, 64 * 1024);
     let l1 = c.l1.as_ref().expect("base config has an L1");
     let rows = run_matrix(args.threads, ROWS, |f| f(&c));

@@ -7,9 +7,7 @@
 //! uniprocessor with the tracer attached, producing per-leading-reference
 //! clustering profiles and the requested trace/metrics exports.
 
-use mempar::{
-    calibrate_locality, observe_pair_locality, Locality, ObservedRun, DEFAULT_TRACE_CAPACITY,
-};
+use mempar::{calibrate_locality, run_pair_with, Locality};
 use mempar_bench::{
     log_enabled, parse_args, run_matrix, simulated_config, write_locality_outputs,
     write_observation_outputs, LogLevel,
@@ -79,25 +77,14 @@ fn main() {
     // base simulated uniprocessor with the tracer attached, then emit the
     // requested trace/metrics/profile outputs.
     if args.wants_observation() {
-        let observed: Vec<_> = run_matrix(args.threads, &args.apps, |&app| {
+        let outcomes: Vec<_> = run_matrix(args.threads, &args.apps, |&app| {
             if log_enabled(LogLevel::Info) {
                 eprintln!("[{}] observed base-vs-clustered run...", app.name());
             }
             let w = app.build(args.scale);
             let cfg = simulated_config(app, args.scale, false, false);
-            observe_pair_locality(
-                &w,
-                &cfg,
-                DEFAULT_TRACE_CAPACITY,
-                args.sim_options(),
-                args.locality,
-            )
-            .0
+            run_pair_with(&w, &cfg, args.pair_options())
         });
-        let runs: Vec<&ObservedRun> = observed
-            .iter()
-            .flat_map(|pair| [&pair.base, &pair.clustered])
-            .collect();
-        write_observation_outputs(&args, &runs);
+        write_observation_outputs(&args, &outcomes);
     }
 }

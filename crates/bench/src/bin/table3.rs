@@ -3,7 +3,9 @@
 //! 32-byte lines), uniprocessor and 8-processor runs.
 
 use mempar::MachineConfig;
-use mempar_bench::{parse_args, run_app_locality, run_matrix, write_locality_outputs};
+use mempar_bench::{
+    parse_args, run_app, run_matrix, write_locality_outputs, write_observation_outputs,
+};
 use mempar_stats::{format_rows, Row};
 use mempar_workloads::App;
 
@@ -29,16 +31,16 @@ fn main() {
             jobs.push((app, true));
         }
     }
-    let results = run_matrix(args.threads, &jobs, |&(app, mp)| {
+    let mut results = run_matrix(args.threads, &jobs, |&(app, mp)| {
         let cfg = MachineConfig::exemplar(if mp { 8 } else { 1 });
-        run_app_locality(app, &cfg, args.scale, args.sim_options(), args.locality)
+        run_app(app, &cfg, args.scale, args.pair_options())
     });
     let mut rows = Vec::new();
     for &app in &args.apps {
         let cell = |mp: bool| {
             jobs.iter()
                 .position(|&j| j == (app, mp))
-                .map(|i| &results[i].0)
+                .map(|i| &results[i].pair)
         };
         let up = cell(false).expect("every app has a uniprocessor run");
         let mp_red = match cell(true) {
@@ -80,9 +82,20 @@ fn main() {
     let entries: Vec<(&str, &mempar::LocalityArtifacts)> = jobs
         .iter()
         .zip(results.iter())
-        .filter_map(|(&(app, mp), (_, a))| {
-            (!mp).then_some(()).and(a.as_ref()).map(|a| (app.name(), a))
+        .filter_map(|(&(app, mp), out)| {
+            (!mp)
+                .then_some(())
+                .and(out.locality.as_ref())
+                .map(|a| (app.name(), a))
         })
         .collect();
     write_locality_outputs(&args, &entries);
+    // Each app runs on both machines: tag the observed runs with the
+    // machine so their names stay distinct in the exports.
+    for out in &mut results {
+        for run in out.observed.iter_mut().flatten() {
+            run.name = format!("{} ({})", run.name, out.pair.config);
+        }
+    }
+    write_observation_outputs(&args, &results);
 }

@@ -22,8 +22,9 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use mempar::{
-    chrome_trace_json, run_pair_locality, ChromeRun, Engine, Locality, LocalityArtifacts,
-    MachineConfig, ObservedRun, Protocol, RunPair, SimOptions, Stepper,
+    chrome_trace_json, run_pair_with, ChromeRun, Engine, Locality, LocalityArtifacts,
+    MachineConfig, ObservedRun, PairOptions, PairOutcome, Protocol, RunPair, SimOptions, Stepper,
+    DEFAULT_TRACE_CAPACITY,
 };
 use mempar_obs::escape_json;
 use mempar_stats::MshrOccupancy;
@@ -116,7 +117,7 @@ impl Default for HarnessArgs {
 impl HarnessArgs {
     /// Whether any observability output was requested (tracing, metrics
     /// or the reference profile) — binaries use this to decide whether
-    /// to rerun their experiments with the tracer attached.
+    /// to attach the tracer to their pair runs.
     pub fn wants_observation(&self) -> bool {
         self.trace_out.is_some() || self.metrics_out.is_some() || self.profile_refs
     }
@@ -127,6 +128,17 @@ impl HarnessArgs {
             stepper: self.stepper,
             engine: self.engine,
             protocol: self.protocol,
+        }
+    }
+
+    /// Pair-experiment options implied by the flags: the driver options,
+    /// the locality model, and tracing when any observability output was
+    /// requested.
+    pub fn pair_options(&self) -> PairOptions {
+        PairOptions {
+            sim: self.sim_options(),
+            locality: self.locality,
+            trace: self.wants_observation().then_some(DEFAULT_TRACE_CAPACITY),
         }
     }
 }
@@ -274,6 +286,20 @@ pub fn parse_args() -> HarnessArgs {
     out
 }
 
+/// [`parse_args`] for binaries that run no traced pair: the
+/// observability flags would have nothing to export, so they are an
+/// argument error (exit 2) rather than silently ignored.
+pub fn parse_args_unobserved() -> HarnessArgs {
+    let args = parse_args();
+    if args.wants_observation() {
+        usage_error(
+            "--trace-out, --metrics-out and --profile-refs are not supported: \
+             this binary runs no traced pair",
+        );
+    }
+    args
+}
+
 /// Fans the `jobs` across a thread pool of `threads` workers (0 = all
 /// cores) and returns the results **in input order**, regardless of how
 /// the scheduler interleaved them — output is deterministic for a given
@@ -295,20 +321,8 @@ where
 }
 
 /// Runs one application base-vs-clustered on the machine `cfg` at
-/// `scale` under the given driver options, printing a progress line.
-pub fn run_app(app: App, cfg: &MachineConfig, scale: f64, opts: SimOptions) -> RunPair {
-    run_app_locality(app, cfg, scale, opts, Locality::Analytic).0
-}
-
-/// [`run_app`] under an explicit locality mode; measured mode hands back
-/// the calibration artifacts alongside the pair.
-pub fn run_app_locality(
-    app: App,
-    cfg: &MachineConfig,
-    scale: f64,
-    opts: SimOptions,
-    locality: Locality,
-) -> (RunPair, Option<LocalityArtifacts>) {
+/// `scale` under `opts`, printing a progress line.
+pub fn run_app(app: App, cfg: &MachineConfig, scale: f64, opts: PairOptions) -> PairOutcome {
     let w = app.build(scale);
     if log_enabled(LogLevel::Info) {
         eprintln!(
@@ -319,14 +333,14 @@ pub fn run_app_locality(
             cfg.nprocs
         );
     }
-    let (pair, artifacts) = run_pair_locality(&w, cfg, opts, locality);
-    if !pair.outputs_match {
+    let out = run_pair_with(&w, cfg, opts);
+    if !out.pair.outputs_match {
         eprintln!(
             "WARNING: {} outputs differ between base and clustered!",
             app.name()
         );
     }
-    (pair, artifacts)
+    out
 }
 
 /// Serializes the metric snapshots of several observed runs as one JSON
@@ -353,11 +367,17 @@ pub fn metrics_json(runs: &[&ObservedRun]) -> String {
 }
 
 /// Writes the observability outputs a binary's `args` requested for the
-/// observed `runs`: the Chrome trace (`--trace-out`, one viewer process
-/// per run), the metrics snapshot (`--metrics-out`) and the
-/// per-leading-reference clustering profile tables (`--profile-refs`,
-/// printed to stdout).
-pub fn write_observation_outputs(args: &HarnessArgs, runs: &[&ObservedRun]) {
+/// observed runs of `outcomes` (base then clustered, in outcome order;
+/// untraced outcomes contribute none): the Chrome trace (`--trace-out`,
+/// one viewer process per run), the metrics snapshot (`--metrics-out`)
+/// and the per-leading-reference clustering profile tables
+/// (`--profile-refs`, printed to stdout).
+pub fn write_observation_outputs(args: &HarnessArgs, outcomes: &[PairOutcome]) {
+    let runs: Vec<&ObservedRun> = outcomes
+        .iter()
+        .filter_map(|o| o.observed.as_ref())
+        .flatten()
+        .collect();
     if let Some(path) = &args.trace_out {
         let chrome_runs: Vec<ChromeRun> = runs
             .iter()
@@ -367,7 +387,7 @@ pub fn write_observation_outputs(args: &HarnessArgs, runs: &[&ObservedRun]) {
                 pid: i as u32,
                 events: &r.obs.trace,
                 end_cycle: r.obs.end_cycle,
-                reuse: &r.obs.reuse_samples,
+                reuse: r.obs.reuse_samples(),
             })
             .collect();
         let clock_mhz = runs.first().map_or(0, |r| r.obs.clock_mhz);
@@ -376,7 +396,7 @@ pub fn write_observation_outputs(args: &HarnessArgs, runs: &[&ObservedRun]) {
         if log_enabled(LogLevel::Info) {
             eprintln!("wrote trace to {path} (open at https://ui.perfetto.dev)");
         }
-        for r in runs {
+        for r in &runs {
             if r.obs.dropped > 0 {
                 eprintln!(
                     "WARNING: {}: trace ring dropped {} events (oldest first)",
@@ -386,14 +406,14 @@ pub fn write_observation_outputs(args: &HarnessArgs, runs: &[&ObservedRun]) {
         }
     }
     if let Some(path) = &args.metrics_out {
-        let json = metrics_json(runs);
+        let json = metrics_json(&runs);
         std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
         if log_enabled(LogLevel::Info) {
             eprintln!("wrote metrics to {path}");
         }
     }
     if args.profile_refs {
-        for r in runs {
+        for r in &runs {
             println!("\n{}", r.profile.format_table(&r.name));
         }
     }

@@ -302,6 +302,52 @@ fn tune_beats_base_and_exports_its_trace() {
 }
 
 #[test]
+fn pair_binaries_honour_observation_flags() {
+    let dir = std::env::temp_dir().join(format!("mempar-fig4-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let trace = dir.join("trace.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig4"))
+        .env_remove("MEMPAR_LOG")
+        .args(["--apps", "LU", "--scale", "0.02", "-q", "--trace-out"])
+        .arg(&trace)
+        .output()
+        .expect("spawn fig4");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&trace).expect("fig4 must write the requested trace");
+    mempar_obs::validate_json(&json).expect("trace JSON well-formed");
+    assert!(json.contains("lu/base") && json.contains("lu/clustered"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unobserved_binaries_reject_observation_flags() {
+    for flags in [
+        &["--trace-out", "x"][..],
+        &["--metrics-out", "x"][..],
+        &["--profile-refs"][..],
+    ] {
+        for bin in [env!("CARGO_BIN_EXE_table1"), env!("CARGO_BIN_EXE_ablation")] {
+            let out = Command::new(bin)
+                .env_remove("MEMPAR_LOG")
+                .args(flags)
+                .output()
+                .expect("spawn harness binary");
+            assert_eq!(out.status.code(), Some(2), "{bin} {flags:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("runs no traced pair") && stderr.contains("usage:"),
+                "{bin} {flags:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn invalid_mempar_log_exits_2_with_usage() {
     let out = run_env(&[], &[("MEMPAR_LOG", "verbose")]);
     assert_eq!(out.status.code(), Some(2), "bad MEMPAR_LOG must exit 2");

@@ -1,14 +1,26 @@
 //! The experiment runner: base vs clustered on a configured machine —
-//! the loop behind every table and figure regeneration.
+//! the loop behind every table and figure regeneration. Tracing and
+//! measured locality are options of the one pipeline ([`PairOptions`]),
+//! not separate copies of it.
 
 use mempar_analysis::{Locality, MachineSummary, MissProfile};
-use mempar_ir::{HomePolicy, Program};
-use mempar_obs::{locality_delta, DeltaReport, ReuseConfig, ReuseReport};
-use mempar_sim::{run_program_with, MachineConfig, SimOptions, SimResult, Topology};
+use mempar_ir::Program;
+use mempar_obs::{
+    locality_delta, profile_misses, DeltaReport, RefProfile, ReuseConfig, ReuseReport,
+};
+use mempar_sim::{
+    run_program_observed, run_program_with, MachineConfig, SimObservation, SimOptions, SimResult,
+    Tracer,
+};
 use mempar_transform::{cluster_program, ClusterReport};
 use mempar_workloads::Workload;
 
-use crate::profile::{measure_locality, profile_miss_rates};
+use crate::profile::{measure_locality, profile_miss_rates, sim_reuse_profiler};
+
+/// Default trace ring capacity for observed runs: large enough to hold
+/// every event of the harness's scaled-down workloads; bigger runs keep
+/// the most recent million events (the exporter reports the drop count).
+pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Distills the full machine configuration into the parameters the
 /// analysis framework uses (Section 3.2.2's `W`, `lp`, line size).
@@ -26,7 +38,9 @@ pub fn machine_summary(cfg: &MachineConfig) -> MachineSummary {
 /// miss rates and running the transformation driver — the mechanical
 /// equivalent of the paper's hand-applied transformations.
 pub fn cluster_workload(w: &Workload, cfg: &MachineConfig) -> (Program, ClusterReport) {
-    let (clustered, report, _, _) = cluster_workload_locality(w, cfg, Locality::Analytic);
+    let (profile, _) = locality_profile(w, cfg, Locality::Analytic);
+    let mut clustered = w.program.clone();
+    let report = cluster_program(&mut clustered, &machine_summary(cfg), &profile);
     (clustered, report)
 }
 
@@ -54,19 +68,6 @@ pub fn locality_profile(
     }
 }
 
-/// [`cluster_workload`] under an explicit locality mode, also handing
-/// back the profile used and (in measured mode) the reuse report.
-pub fn cluster_workload_locality(
-    w: &Workload,
-    cfg: &MachineConfig,
-    locality: Locality,
-) -> (Program, ClusterReport, MissProfile, Option<ReuseReport>) {
-    let (profile, reuse) = locality_profile(w, cfg, locality);
-    let mut clustered = w.program.clone();
-    let report = cluster_program(&mut clustered, &machine_summary(cfg), &profile);
-    (clustered, report, profile, reuse)
-}
-
 /// Results of one base-vs-clustered comparison.
 #[derive(Debug)]
 pub struct RunPair {
@@ -92,14 +93,6 @@ impl RunPair {
         let b = self.base.mean_breakdown();
         self.clustered.mean_breakdown().percent_reduction_from(&b)
     }
-}
-
-/// Runs `w` untransformed and clustered on `cfg` and compares.
-///
-/// The NUMA home policy follows the topology: block placement for
-/// CC-NUMA (the SPLASH convention), centralized for bus-based SMPs.
-pub fn run_pair(w: &Workload, cfg: &MachineConfig) -> RunPair {
-    run_pair_with(w, cfg, SimOptions::default())
 }
 
 /// The measured-locality artifacts a `--locality measured` run carries
@@ -135,78 +128,109 @@ pub fn calibrate_locality(w: &Workload, cfg: &MachineConfig) -> (MissProfile, Lo
     (measured, LocalityArtifacts { report, delta })
 }
 
-/// [`run_pair_with`] under an explicit locality mode. Analytic mode is
-/// byte-for-byte the plain path (no profiler anywhere near the run);
-/// measured mode feeds the sampled reuse profile into the transformation
-/// driver and returns the calibration artifacts.
-pub fn run_pair_locality(
-    w: &Workload,
-    cfg: &MachineConfig,
-    opts: SimOptions,
-    locality: Locality,
-) -> (RunPair, Option<LocalityArtifacts>) {
-    if locality == Locality::Analytic {
-        return (run_pair_with(w, cfg, opts), None);
-    }
-    let policy = match cfg.topology {
-        Topology::Numa => HomePolicy::BlockPerArray,
-        Topology::SmpBus => HomePolicy::Centralized,
-    };
-    let (measured, artifacts) = calibrate_locality(w, cfg);
-    let mut clustered_prog = w.program.clone();
-    let cluster_report = cluster_program(&mut clustered_prog, &machine_summary(cfg), &measured);
-
-    let mut base_mem = w.memory_with_policy(cfg.nprocs, policy);
-    let mut clust_mem = w.memory_with_policy(cfg.nprocs, policy);
-    let (base, clustered) = rayon::join(
-        || run_program_with(&w.program, &mut base_mem, cfg, opts),
-        || run_program_with(&clustered_prog, &mut clust_mem, cfg, opts),
-    );
-
-    let outputs_match = w.read_outputs(&base_mem) == w.read_outputs(&clust_mem);
-    let pair = RunPair {
-        name: w.name.clone(),
-        config: cfg.name.clone(),
-        base,
-        clustered,
-        report: cluster_report,
-        outputs_match,
-        profile: measured,
-    };
-    (pair, Some(artifacts))
+/// How [`run_pair_with`] runs the pair: the simulator's driver options,
+/// the locality model feeding the transformation driver, and whether to
+/// observe both timed runs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PairOptions {
+    /// Driver options for both timed runs (engine, stepper, protocol).
+    pub sim: SimOptions,
+    /// `Analytic` profiles `P_m` by cache simulation; `Measured` clusters
+    /// with the sampled reuse profile and returns calibration artifacts.
+    pub locality: Locality,
+    /// Trace ring capacity: `Some` records trace events, a metrics
+    /// snapshot and the per-reference clustering profile of both runs
+    /// (plus the in-sim reuse tap under measured locality). Results stay
+    /// bit-identical to an untraced pair's.
+    pub trace: Option<usize>,
 }
 
-/// [`run_pair`] with explicit driver options (engine selection,
-/// stepper — see [`SimOptions`]).
-pub fn run_pair_with(w: &Workload, cfg: &MachineConfig, opts: SimOptions) -> RunPair {
-    let policy = match cfg.topology {
-        Topology::Numa => HomePolicy::BlockPerArray,
-        Topology::SmpBus => HomePolicy::Centralized,
-    };
-    let mut profile_mem = w.memory(1);
-    let profile = profile_miss_rates(&w.program, &mut profile_mem, &cfg.l2);
-    let mut clustered_prog = w.program.clone();
-    let report = cluster_program(&mut clustered_prog, &machine_summary(cfg), &profile);
+/// One observed run of one program variant.
+#[derive(Debug)]
+pub struct ObservedRun {
+    /// `<workload>/<variant>` (e.g. `latbench/clustered`).
+    pub name: String,
+    /// Trace events, metrics snapshot and export parameters.
+    pub obs: SimObservation,
+    /// Per-leading-reference clustering profile.
+    pub profile: RefProfile,
+}
 
-    // The two timed runs are independent — run them concurrently. Each
-    // simulation is fully deterministic, so the join changes wall-clock
-    // time only, never results.
-    let mut base_mem = w.memory_with_policy(cfg.nprocs, policy);
-    let mut clust_mem = w.memory_with_policy(cfg.nprocs, policy);
-    let (base, clustered) = rayon::join(
-        || run_program_with(&w.program, &mut base_mem, cfg, opts),
-        || run_program_with(&clustered_prog, &mut clust_mem, cfg, opts),
+/// Everything one [`run_pair_with`] call produces.
+#[derive(Debug)]
+pub struct PairOutcome {
+    /// The timing comparison.
+    pub pair: RunPair,
+    /// Calibration artifacts (measured locality only).
+    pub locality: Option<LocalityArtifacts>,
+    /// Base and clustered observed runs (only when tracing).
+    pub observed: Option<[ObservedRun; 2]>,
+}
+
+/// Runs `w` untransformed and clustered on `cfg` and compares, under
+/// default options.
+pub fn run_pair(w: &Workload, cfg: &MachineConfig) -> RunPair {
+    run_pair_with(w, cfg, PairOptions::default()).pair
+}
+
+/// The pair experiment: profiles the workload under `opts.locality`,
+/// clusters it, then runs base and clustered on `cfg` concurrently —
+/// each on its own memory image under the topology's home policy, traced
+/// when `opts.trace` asks. Each simulation is fully deterministic, so
+/// the concurrency changes wall-clock time only, never results.
+pub fn run_pair_with(w: &Workload, cfg: &MachineConfig, opts: PairOptions) -> PairOutcome {
+    let (profile, locality) = match opts.locality {
+        Locality::Analytic => (locality_profile(w, cfg, Locality::Analytic).0, None),
+        Locality::Measured => {
+            let (profile, artifacts) = calibrate_locality(w, cfg);
+            (profile, Some(artifacts))
+        }
+    };
+    let msum = machine_summary(cfg);
+    let mut clustered_prog = w.program.clone();
+    let report = cluster_program(&mut clustered_prog, &msum, &profile);
+
+    let policy = cfg.home_policy();
+    let run = |prog: &Program, variant: &str| {
+        let mut mem = w.memory_with_policy(cfg.nprocs, policy);
+        let Some(capacity) = opts.trace else {
+            return (run_program_with(prog, &mut mem, cfg, opts.sim), None, mem);
+        };
+        let reuse = (opts.locality == Locality::Measured)
+            .then(|| sim_reuse_profiler(prog, cfg, ReuseConfig::default()));
+        let (result, obs) = run_program_observed(
+            prog,
+            &mut mem,
+            cfg,
+            opts.sim,
+            Tracer::with_capacity(capacity),
+            reuse,
+        );
+        let observed = ObservedRun {
+            name: format!("{}/{variant}", w.name),
+            profile: profile_misses(prog, &mem, &msum, &profile, &obs.trace, obs.line_shift),
+            obs,
+        };
+        (result, Some(observed), mem)
+    };
+    let ((base, base_obs, base_mem), (clustered, clust_obs, clust_mem)) = rayon::join(
+        || run(&w.program, "base"),
+        || run(&clustered_prog, "clustered"),
     );
 
     let outputs_match = w.read_outputs(&base_mem) == w.read_outputs(&clust_mem);
-    RunPair {
-        name: w.name.clone(),
-        config: cfg.name.clone(),
-        base,
-        clustered,
-        report,
-        outputs_match,
-        profile,
+    PairOutcome {
+        pair: RunPair {
+            name: w.name.clone(),
+            config: cfg.name.clone(),
+            base,
+            clustered,
+            report,
+            outputs_match,
+            profile,
+        },
+        locality,
+        observed: base_obs.zip(clust_obs).map(|(b, c)| [b, c]),
     }
 }
 
@@ -215,14 +239,18 @@ mod tests {
     use super::*;
     use mempar_workloads::{latbench, LatbenchParams};
 
-    #[test]
-    fn latbench_pair_speeds_up_and_matches() {
-        let w = latbench(LatbenchParams {
+    fn small_latbench() -> Workload {
+        latbench(LatbenchParams {
             chains: 16,
             chain_len: 64,
             pool: 1 << 15,
             seed: 3,
-        });
+        })
+    }
+
+    #[test]
+    fn latbench_pair_speeds_up_and_matches() {
+        let w = small_latbench();
         let cfg = MachineConfig::base_simulated(1, w.l2_bytes);
         let pair = run_pair(&w, &cfg);
         assert!(pair.outputs_match, "clustering must preserve results");
@@ -249,24 +277,39 @@ mod tests {
 
     #[test]
     fn measured_locality_pair_calibrates() {
-        let w = latbench(LatbenchParams {
-            chains: 16,
-            chain_len: 64,
-            pool: 1 << 15,
-            seed: 3,
-        });
+        let w = small_latbench();
         let cfg = MachineConfig::base_simulated(1, w.l2_bytes);
-        let (pair, artifacts) =
-            run_pair_locality(&w, &cfg, SimOptions::default(), Locality::Measured);
-        let artifacts = artifacts.expect("measured mode returns artifacts");
-        assert!(pair.outputs_match, "clustering must preserve results");
-        assert!(pair.profile.has_measured());
+        let opts = PairOptions {
+            locality: Locality::Measured,
+            ..PairOptions::default()
+        };
+        let out = run_pair_with(&w, &cfg, opts);
+        let artifacts = out.locality.expect("measured mode returns artifacts");
+        assert!(out.pair.outputs_match, "clustering must preserve results");
+        assert!(out.pair.profile.has_measured());
         assert!(!artifacts.report.arrays.is_empty(), "arrays were observed");
         assert!(!artifacts.delta.rows.is_empty(), "delta table has rows");
-        // Analytic mode stays the plain path: no artifacts, same cycles.
-        let (plain, none) = run_pair_locality(&w, &cfg, SimOptions::default(), Locality::Analytic);
-        assert!(none.is_none());
-        assert_eq!(plain.base.cycles, run_pair(&w, &cfg).base.cycles);
+        assert!(out.observed.is_none(), "untraced pairs observe nothing");
+    }
+
+    #[test]
+    fn observed_pair_traces_and_profiles() {
+        let w = small_latbench();
+        let cfg = MachineConfig::base_simulated(1, w.l2_bytes);
+        let opts = PairOptions {
+            trace: Some(1 << 16),
+            ..PairOptions::default()
+        };
+        let [base, clustered] = run_pair_with(&w, &cfg, opts)
+            .observed
+            .expect("traced pairs observe both runs");
+        assert!(!base.obs.trace.is_empty(), "base run must trace");
+        assert!(base.profile.total_misses() > 0);
+        assert!(clustered.profile.total_misses() > 0);
+        // The headline: clustering raises the achieved mean overlap.
+        let b = base.profile.overall_mean_overlap();
+        let c = clustered.profile.overall_mean_overlap();
+        assert!(c > b, "clustered overlap {c:.2} must beat base {b:.2}");
     }
 
     #[test]

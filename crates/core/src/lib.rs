@@ -21,7 +21,12 @@
 //! The crate's own API is the experiment layer used by the benchmark
 //! harness: [`cluster_workload`] (profile + transform), [`run_pair`]
 //! (base vs clustered on a configured machine) and
-//! [`profile_miss_rates`] (the `P_m` measurement).
+//! [`profile_miss_rates`] (the `P_m` measurement). [`run_pair_with`] is
+//! the one pipeline behind every artifact: [`PairOptions`] selects the
+//! driver options, the locality model (`analytic` or `measured`, which
+//! adds [`LocalityArtifacts`]) and tracing (which adds a pair of
+//! [`ObservedRun`]s carrying trace events, metrics and the
+//! per-reference clustering profile) — one pass, never a rerun.
 //!
 //! # Quickstart
 //!
@@ -45,16 +50,12 @@
 #![warn(missing_debug_implementations)]
 
 mod experiment;
-mod observe;
 mod profile;
 
 pub use experiment::{
-    calibrate_locality, cluster_workload, cluster_workload_locality, locality_profile,
-    machine_summary, run_pair, run_pair_locality, run_pair_with, LocalityArtifacts, RunPair,
-};
-pub use observe::{
-    observe_pair, observe_pair_locality, observe_pair_with, observe_program, observe_program_with,
-    ObservedPair, ObservedRun, DEFAULT_TRACE_CAPACITY,
+    calibrate_locality, cluster_workload, locality_profile, machine_summary, run_pair,
+    run_pair_with, LocalityArtifacts, ObservedRun, PairOptions, PairOutcome, RunPair,
+    DEFAULT_TRACE_CAPACITY,
 };
 pub use profile::{measure_locality, profile_miss_rates, reuse_levels, sim_reuse_profiler};
 
@@ -67,7 +68,7 @@ pub use mempar_obs::{
     ReuseConfig, ReuseReport,
 };
 pub use mempar_sim::{
-    run_program, run_program_observed_reuse, run_program_with, Engine, MachineConfig, Protocol,
+    run_program, run_program_observed, run_program_with, Engine, MachineConfig, Protocol,
     ReuseProfiler, SimOptions, SimResult, Stepper,
 };
 pub use mempar_stats::{

@@ -33,5 +33,7 @@ pub mod spec;
 pub use gen::{gen_spec, gen_spec_with, GenConfig};
 pub use golden::{check_golden, snapshot, snapshot_gen_seed, BLESS_ENV, PINNED_GEN_SEEDS};
 pub use harness::{check_spec, CheckOutcome, CheckReport, DivKind, Divergence, PassKind};
-pub use shrink::{render_reproducer, shrink, shrink_with};
+pub use shrink::{
+    corpus_seeds, render_reproducer, reproducer_seed, shrink, shrink_with, CORPUS_DIR,
+};
 pub use spec::{materialize, Built, Mode, ProgSpec};

@@ -279,7 +279,7 @@ pub fn shrink(spec: &ProgSpec, signature: &str) -> ProgSpec {
 
 /// Renders a committed reproducer file: header with the machine-readable
 /// generator seed and failure metadata, then the pretty-printed
-/// minimized program for human eyes. `tests/corpus_replay.rs` parses
+/// minimized program for human eyes. [`reproducer_seed`] reads back
 /// only the `seed:` line — once the underlying bug is fixed, the seed
 /// must check out clean forever.
 pub fn render_reproducer(spec: &ProgSpec, signature: &str, detail: &str) -> String {
@@ -297,6 +297,37 @@ pub fn render_reproducer(spec: &ProgSpec, signature: &str, detail: &str) -> Stri
         s.push_str(&format!("#   {line}\n"));
     }
     s
+}
+
+/// The committed reproducer corpus: `tests/corpus/` at the workspace
+/// root, where [`render_reproducer`]'s files are checked in.
+pub const CORPUS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+
+/// The generator seed on a reproducer's `# seed: N` header line, as
+/// [`render_reproducer`] writes it.
+pub fn reproducer_seed(text: &str) -> Option<u64> {
+    text.lines()
+        .find_map(|l| l.strip_prefix("# seed: "))
+        .and_then(|s| s.trim().parse().ok())
+}
+
+/// The seeds of every `.repro` file in [`CORPUS_DIR`], sorted and
+/// deduplicated: the corpus leg of the equality sweeps.
+///
+/// # Panics
+/// When the corpus directory is missing or no reproducer carries a seed.
+pub fn corpus_seeds() -> Vec<u64> {
+    let mut seeds: Vec<u64> = std::fs::read_dir(CORPUS_DIR)
+        .expect("tests/corpus exists")
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "repro"))
+        .filter_map(|p| reproducer_seed(&std::fs::read_to_string(p).ok()?))
+        .collect();
+    seeds.sort_unstable();
+    seeds.dedup();
+    assert!(!seeds.is_empty(), "corpus reproducers carry seeds");
+    seeds
 }
 
 #[cfg(test)]
@@ -367,6 +398,7 @@ mod tests {
         let spec = gen_spec(5);
         let r = render_reproducer(&spec, "MemDiff|uaj", "fingerprint mismatch");
         assert!(r.contains("# seed: 5"));
+        assert_eq!(reproducer_seed(&r), Some(5));
         assert!(r.contains("# signature: MemDiff|uaj"));
         assert!(r.lines().count() > 8);
     }

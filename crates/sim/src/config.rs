@@ -1,5 +1,7 @@
 //! Machine configuration (Table 1 of the paper, plus variants).
 
+use mempar_ir::HomePolicy;
+
 /// Parameters of one cache level.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheParams {
@@ -313,6 +315,16 @@ impl MachineConfig {
     /// The line size the memory hierarchy operates on.
     pub fn line_bytes(&self) -> usize {
         self.l2.line_bytes
+    }
+
+    /// Where each array's pages live: block placement across the nodes
+    /// of a CC-NUMA machine (the SPLASH convention), one central memory
+    /// behind a bus-based SMP.
+    pub fn home_policy(&self) -> HomePolicy {
+        match self.topology {
+            Topology::Numa => HomePolicy::BlockPerArray,
+            Topology::SmpBus => HomePolicy::Centralized,
+        }
     }
 
     /// Basic consistency checks.

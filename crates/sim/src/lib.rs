@@ -77,8 +77,8 @@ pub use protocol::{
 pub use resource::{Resource, ResourcePool};
 pub use sync::SyncState;
 pub use system::{
-    run_program, run_program_observed, run_program_observed_reuse, run_program_with,
-    SimObservation, SimOptions, SimResult, Stepper,
+    run_program, run_program_observed, run_program_with, SimObservation, SimOptions, SimResult,
+    Stepper,
 };
 
 // Observability types a traced run hands back (re-exported so harnesses

@@ -175,60 +175,36 @@ pub struct SimObservation {
     pub clock_mhz: u32,
     /// The run's wall clock in cycles (closes still-open trace spans).
     pub end_cycle: u64,
-    /// Sampled reuse-distance events (empty unless the run used
-    /// [`run_program_observed_reuse`]); exported as a Perfetto counter
-    /// track.
-    pub reuse_samples: Vec<ReuseSample>,
+    /// The drained reuse profiler, when the run was tapped with one:
+    /// build a [`mempar_obs::ReuseReport`] from it; its `sim.reuse.*`
+    /// metrics are already merged into [`Self::metrics`].
+    pub reuse: Option<ReuseProfiler>,
+}
+
+impl SimObservation {
+    /// Sampled reuse-distance events of the tapped run (empty when no
+    /// profiler was attached), exported as a Perfetto counter track.
+    pub fn reuse_samples(&self) -> &[ReuseSample] {
+        self.reuse.as_ref().map_or(&[], |r| r.samples())
+    }
 }
 
 /// [`run_program_with`], additionally recording structured trace events
-/// into `tracer` and collecting a metrics snapshot. The [`SimResult`] is
-/// bit-identical to an untraced run's (the observability tests assert
-/// this): tracing only copies values the simulator already computes.
+/// into `tracer` and collecting a metrics snapshot. With `reuse`, a
+/// [`ReuseProfiler`] taps the dynamic op stream at the fetch stage and
+/// comes back drained in [`SimObservation::reuse`]. The [`SimResult`] is
+/// bit-identical to an untraced, untapped run's (the observability and
+/// locality tests assert this): both only copy values the simulator
+/// already computes.
 pub fn run_program_observed(
     prog: &Program,
     mem: &mut SimMem,
     cfg: &MachineConfig,
     opts: SimOptions,
     tracer: Tracer,
+    reuse: Option<ReuseProfiler>,
 ) -> (SimResult, SimObservation) {
-    let (result, obs, _) = observed_inner(prog, mem, cfg, opts, tracer, None);
-    (result, obs)
-}
-
-/// [`run_program_observed`] with a [`ReuseProfiler`] tapping the dynamic
-/// op stream at the fetch stage. The profiler is pure observation: the
-/// [`SimResult`] stays bit-identical to an unprofiled run (asserted by
-/// the locality tests). Returns the drained profiler so callers can build
-/// a [`mempar_obs::ReuseReport`]; its `sim.reuse.*` metrics are already
-/// merged into the observation's registry, and the bounded sample stream
-/// lands in [`SimObservation::reuse_samples`] for the Perfetto counter
-/// track.
-pub fn run_program_observed_reuse(
-    prog: &Program,
-    mem: &mut SimMem,
-    cfg: &MachineConfig,
-    opts: SimOptions,
-    tracer: Tracer,
-    profiler: ReuseProfiler,
-) -> (SimResult, SimObservation, ReuseProfiler) {
-    let (result, obs, reuse) = observed_inner(prog, mem, cfg, opts, tracer, Some(profiler));
-    (
-        result,
-        obs,
-        reuse.expect("profiler threaded through the run"),
-    )
-}
-
-fn observed_inner(
-    prog: &Program,
-    mem: &mut SimMem,
-    cfg: &MachineConfig,
-    opts: SimOptions,
-    tracer: Tracer,
-    profiler: Option<ReuseProfiler>,
-) -> (SimResult, SimObservation, Option<ReuseProfiler>) {
-    let (result, mut memsys, cores, reuse) = run_inner(prog, mem, cfg, opts, tracer, profiler);
+    let (result, mut memsys, cores, reuse) = run_inner(prog, mem, cfg, opts, tracer, reuse);
     let mut metrics = MetricsRegistry::new();
     memsys.export_metrics(result.cycles.max(1), &mut metrics);
     for core in &cores {
@@ -248,12 +224,9 @@ fn observed_inner(
         line_shift: cfg.l2.line_bytes.trailing_zeros(),
         clock_mhz: cfg.proc.clock_mhz,
         end_cycle: result.cycles,
-        reuse_samples: reuse
-            .as_ref()
-            .map(|r| r.samples().to_vec())
-            .unwrap_or_default(),
+        reuse,
     };
-    (result, obs, reuse)
+    (result, obs)
 }
 
 /// Mutable machine state threaded through a stepper driver: everything

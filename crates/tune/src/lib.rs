@@ -47,8 +47,8 @@ pub use tuner::{
 
 use mempar::locality_profile;
 use mempar_analysis::{Locality, MissProfile};
-use mempar_ir::{HomePolicy, Program};
-use mempar_sim::{MachineConfig, Topology};
+use mempar_ir::Program;
+use mempar_sim::MachineConfig;
 use mempar_workloads::Workload;
 
 /// Tunes a catalog workload on `cfg`: builds the miss profile under the
@@ -63,10 +63,7 @@ pub fn tune_workload(
     locality: Locality,
 ) -> (Program, TuneReport, MissProfile) {
     let (profile, _) = locality_profile(w, cfg, locality);
-    let policy = match cfg.topology {
-        Topology::Numa => HomePolicy::BlockPerArray,
-        Topology::SmpBus => HomePolicy::Centralized,
-    };
+    let policy = cfg.home_policy();
     let mem_at = |n: usize| w.memory_with_policy(n, policy);
     let (tuned, report) = tuner.tune_program(&w.name, &w.program, cfg, &profile, &mem_at);
     (tuned, report, profile)

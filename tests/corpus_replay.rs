@@ -6,24 +6,11 @@
 //! bugs are fixed; this test re-runs the full differential check on
 //! each pinned generator seed so the fixes can never silently regress.
 
-use std::path::PathBuf;
-
-use mempar_difftest::{check_spec, gen_spec};
-
-fn corpus_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
-}
-
-/// Parses the `# seed: N` header line of a reproducer file.
-fn seed_of(text: &str) -> Option<u64> {
-    text.lines()
-        .find_map(|l| l.strip_prefix("# seed: "))
-        .and_then(|s| s.trim().parse().ok())
-}
+use mempar_difftest::{check_spec, gen_spec, reproducer_seed, CORPUS_DIR};
 
 #[test]
 fn committed_reproducers_stay_fixed() {
-    let mut entries: Vec<_> = std::fs::read_dir(corpus_dir())
+    let mut entries: Vec<_> = std::fs::read_dir(CORPUS_DIR)
         .expect("tests/corpus exists")
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -37,8 +24,8 @@ fn committed_reproducers_stay_fixed() {
     let mut regressions = Vec::new();
     for path in &entries {
         let text = std::fs::read_to_string(path).expect("readable reproducer");
-        let seed =
-            seed_of(&text).unwrap_or_else(|| panic!("{} lacks a `# seed:` header", path.display()));
+        let seed = reproducer_seed(&text)
+            .unwrap_or_else(|| panic!("{} lacks a `# seed:` header", path.display()));
         let report = check_spec(&gen_spec(seed));
         if !report.passed() {
             let sigs: Vec<String> = report.divergences.iter().map(|d| d.signature()).collect();

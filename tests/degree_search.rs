@@ -11,7 +11,7 @@
 //! feasible argmax of `f`.
 
 use mempar_analysis::{analyze_inner_loop, MachineSummary, MissProfile};
-use mempar_difftest::{gen_spec, materialize};
+use mempar_difftest::{gen_spec, materialize, reproducer_seed, CORPUS_DIR};
 use mempar_ir::{run_single, Program};
 use mempar_transform::{
     cluster_program, innermost_loops, loop_at, scalar_replace, unroll_and_jam, NestPath,
@@ -20,17 +20,9 @@ use mempar_transform::{
 /// The degree the reproducer pins, parsed from the corpus file so the
 /// two cannot drift apart.
 fn corpus_seed() -> u64 {
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/corpus/seed-14.repro"
-    ))
-    .expect("reproducer present");
-    text.lines()
-        .find_map(|l| l.strip_prefix("# seed: "))
-        .expect("seed header")
-        .trim()
-        .parse()
-        .expect("numeric seed")
+    let text =
+        std::fs::read_to_string(format!("{CORPUS_DIR}/seed-14.repro")).expect("reproducer present");
+    reproducer_seed(&text).expect("numeric seed header")
 }
 
 /// `f` after jamming by `d` + scalar replacement — the same pipeline

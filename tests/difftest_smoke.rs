@@ -3,7 +3,7 @@
 //!
 //! The quick sweep runs in the default test pass. The full
 //! acceptance-scale sweep (500 programs) is `#[ignore]`d and run by the
-//! CI `difftest-smoke` job via `cargo test -- --ignored`.
+//! CI `test` job via `cargo test -- --ignored`.
 //!
 //! Any divergence is auto-shrunk and written to `tests/corpus/` as a
 //! pretty-printed reproducer before the test fails; fixed bugs stay
@@ -61,7 +61,7 @@ fn quick_differential_sweep() {
 /// at every loop nest, ≥100 random pass compositions, every legality
 /// rejection probed for soundness. ~minutes; run explicitly or in CI.
 #[test]
-#[ignore = "acceptance-scale; run via cargo test -- --ignored (CI difftest-smoke job)"]
+#[ignore = "acceptance-scale; run via cargo test -- --ignored (CI test job)"]
 fn full_differential_sweep() {
     let t = sweep(0..500);
     assert!(t.singles_ok >= 500, "single-pass coverage too low: {t:?}");

@@ -10,35 +10,13 @@
 //! [`Engine::Bytecode`], sequentially and (where the spec's mode makes
 //! SPMD execution deterministic) under the parallel functional oracle.
 
-use std::path::PathBuf;
-
-use mempar_difftest::{gen_spec, materialize, Built, PINNED_GEN_SEEDS};
+use mempar_difftest::{corpus_seeds, gen_spec, materialize, Built, PINNED_GEN_SEEDS};
 use mempar_ir::{
     run_parallel_functional_with, BytecodeProgram, Engine, Interp, Program, TraceDigest, Vm,
 };
 
 /// Fresh seeds beyond the pinned/corpus sets; 200 per the sweep contract.
 const FRESH_SEEDS: std::ops::Range<u64> = 1000..1200;
-
-fn corpus_seeds() -> Vec<u64> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
-    let mut seeds: Vec<u64> = std::fs::read_dir(dir)
-        .expect("tests/corpus exists")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "repro"))
-        .filter_map(|p| {
-            let text = std::fs::read_to_string(&p).ok()?;
-            text.lines()
-                .find_map(|l| l.strip_prefix("# seed: "))
-                .and_then(|s| s.trim().parse().ok())
-        })
-        .collect();
-    seeds.sort_unstable();
-    seeds.dedup();
-    assert!(!seeds.is_empty(), "corpus reproducers carry seeds");
-    seeds
-}
 
 /// Drains the uniprocessor op stream under `engine`, returning the
 /// order-sensitive digest and the final memory fingerprint.

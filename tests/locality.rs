@@ -11,9 +11,8 @@
 //! ```
 
 use mempar::{
-    calibrate_locality, observe_pair_locality, observe_pair_with, run_pair_locality, run_pair_with,
-    run_program_observed_reuse, run_program_with, sim_reuse_profiler, Locality, MachineConfig,
-    ReuseConfig, SimOptions,
+    calibrate_locality, run_pair_with, run_program_observed, run_program_with, sim_reuse_profiler,
+    Locality, MachineConfig, PairOptions, ReuseConfig, SimOptions,
 };
 use mempar_sim::Tracer;
 use mempar_workloads::{latbench, App, LatbenchParams, Workload};
@@ -75,14 +74,15 @@ fn reuse_tap_causes_zero_cycle_drift() {
         let mut mem = w.memory(1);
         let plain = run_program_with(&w.program, &mut mem, &cfg, SimOptions::default());
         let mut mem = w.memory(1);
-        let (tapped, obs, profiler) = run_program_observed_reuse(
+        let (tapped, obs) = run_program_observed(
             &w.program,
             &mut mem,
             &cfg,
             SimOptions::default(),
             Tracer::with_capacity(1 << 14),
-            sim_reuse_profiler(&w.program, &cfg, ReuseConfig::default()),
+            Some(sim_reuse_profiler(&w.program, &cfg, ReuseConfig::default())),
         );
+        let profiler = obs.reuse.as_ref().expect("tapped run returns its profiler");
         assert_eq!(
             format!("{plain:?}"),
             format!("{tapped:?}"),
@@ -95,7 +95,7 @@ fn reuse_tap_causes_zero_cycle_drift() {
             app.name()
         );
         assert!(
-            !obs.reuse_samples.is_empty(),
+            !obs.reuse_samples().is_empty(),
             "{}: no counter-track samples",
             app.name()
         );
@@ -107,34 +107,15 @@ fn reuse_tap_causes_zero_cycle_drift() {
     }
 }
 
-/// `--locality analytic` (the default) must be byte-identical to the
-/// profiler-free seed path: same pair results, no artifacts.
+/// `--locality analytic` (the default) is the profiler-free path: the
+/// pipeline returns no calibration artifacts.
 #[test]
 fn analytic_mode_is_bit_identical_to_seed_path() {
     let w = pinned_latbench();
     let cfg = MachineConfig::base_simulated(1, w.l2_bytes);
-    let plain = run_pair_with(&w, &cfg, SimOptions::default());
-    let (analytic, artifacts) =
-        run_pair_locality(&w, &cfg, SimOptions::default(), Locality::Analytic);
-    assert!(artifacts.is_none(), "analytic mode must not calibrate");
-    assert_eq!(plain.base.cycles, analytic.base.cycles);
-    assert_eq!(plain.clustered.cycles, analytic.clustered.cycles);
-    assert_eq!(
-        format!("{:?}", plain.report),
-        format!("{:?}", analytic.report)
-    );
-    let obs_plain = observe_pair_with(&w, &cfg, 1 << 14, SimOptions::default());
-    let (obs_analytic, obs_artifacts) =
-        observe_pair_locality(&w, &cfg, 1 << 14, SimOptions::default(), Locality::Analytic);
-    assert!(obs_artifacts.is_none());
-    assert_eq!(
-        obs_plain.base.result.cycles,
-        obs_analytic.base.result.cycles
-    );
-    assert_eq!(
-        obs_plain.clustered.result.cycles,
-        obs_analytic.clustered.result.cycles
-    );
+    let out = run_pair_with(&w, &cfg, PairOptions::default());
+    assert!(out.locality.is_none(), "analytic mode must not calibrate");
+    assert!(out.pair.outputs_match);
 }
 
 /// Measured mode really runs: it returns calibration artifacts with one
@@ -144,9 +125,16 @@ fn analytic_mode_is_bit_identical_to_seed_path() {
 fn measured_mode_calibrates_and_matches_outputs() {
     let w = pinned_latbench();
     let cfg = MachineConfig::base_simulated(1, w.l2_bytes);
-    let (pair, artifacts) = run_pair_locality(&w, &cfg, SimOptions::default(), Locality::Measured);
-    assert!(pair.outputs_match, "measured clustering changed outputs");
-    let a = artifacts.expect("measured mode must return artifacts");
+    let opts = PairOptions {
+        locality: Locality::Measured,
+        ..PairOptions::default()
+    };
+    let out = run_pair_with(&w, &cfg, opts);
+    assert!(
+        out.pair.outputs_match,
+        "measured clustering changed outputs"
+    );
+    let a = out.locality.expect("measured mode must return artifacts");
     assert!(a.report.sampled > 0);
     assert!(!a.delta.rows.is_empty(), "delta table must have rows");
     for r in &a.delta.rows {

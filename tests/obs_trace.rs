@@ -1,6 +1,7 @@
 //! Observability gates: tracing must be invisible in the simulation
 //! results (bit-identical `SimResult` with the tracer on or off, in both
-//! driver modes), the Chrome trace_event export must stay well-formed
+//! driver modes, and a bit-identical `RunPair` from a traced pair
+//! experiment), the Chrome trace_event export must stay well-formed
 //! JSON, and one pinned tiny Latbench configuration is held to a golden
 //! Perfetto snapshot so the export format cannot drift silently.
 //!
@@ -10,7 +11,10 @@
 //! MEMPAR_BLESS=1 cargo test --test obs_trace golden
 //! ```
 
-use mempar::{chrome_trace_json, observe_pair, validate_json, ChromeRun, MachineConfig};
+use mempar::{
+    chrome_trace_json, run_pair_with, validate_json, ChromeRun, Locality, MachineConfig,
+    PairOptions,
+};
 use mempar_sim::{
     run_program_observed, run_program_with, SimObservation, SimOptions, Stepper, Tracer,
 };
@@ -39,6 +43,7 @@ fn observed_run(w: &Workload, stepper: Stepper) -> (String, SimObservation) {
             ..SimOptions::default()
         },
         Tracer::with_capacity(1 << 16),
+        None,
     );
     (format!("{r:?}"), obs)
 }
@@ -83,6 +88,51 @@ fn tracing_is_invisible_in_results() {
     }
 }
 
+/// The pair experiment with tracing on must return the `RunPair` of the
+/// untraced pipeline, bit for bit (through `Debug`), under both locality
+/// models and on a uniprocessor and a 4-processor machine — in measured
+/// mode the in-sim reuse tap rides along with the tracer.
+#[test]
+fn pair_tracing_is_invisible_in_results() {
+    let w = App::Lu.build(0.02);
+    for nprocs in [1, 4] {
+        let cfg = MachineConfig::base_simulated(nprocs, 32 * 1024);
+        for locality in [Locality::Analytic, Locality::Measured] {
+            let untraced = PairOptions {
+                locality,
+                ..PairOptions::default()
+            };
+            let plain = run_pair_with(&w, &cfg, untraced);
+            let traced = run_pair_with(
+                &w,
+                &cfg,
+                PairOptions {
+                    trace: Some(1 << 16),
+                    ..untraced
+                },
+            );
+            let ctx = format!("{nprocs}p, {locality:?}");
+            assert!(plain.observed.is_none(), "{ctx}: untraced pair observed");
+            let [base, clustered] = traced.observed.expect("traced pair observes both runs");
+            assert!(!base.obs.trace.is_empty(), "{ctx}: no base events");
+            assert!(
+                !clustered.obs.trace.is_empty(),
+                "{ctx}: no clustered events"
+            );
+            assert_eq!(
+                locality == Locality::Measured,
+                !base.obs.reuse_samples().is_empty(),
+                "{ctx}: the reuse tap rides along exactly in measured mode"
+            );
+            assert_eq!(
+                format!("{:?}", plain.pair),
+                format!("{:?}", traced.pair),
+                "{ctx}: tracing changed the pair's results"
+            );
+        }
+    }
+}
+
 /// The trace itself must not depend on the driver mode: event stepping
 /// only compresses idle spans, so every miss/MSHR/stall event must
 /// appear at the same cycle in both modes (horizon jumps are scheduler
@@ -117,15 +167,21 @@ fn profiler_reports_clustering_gain() {
         seed: 3,
     });
     let cfg = MachineConfig::base_simulated(1, w.l2_bytes);
-    let pair = observe_pair(&w, &cfg, 1 << 18);
-    let base = pair.base.profile.overall_mean_overlap();
-    let clustered = pair.clustered.profile.overall_mean_overlap();
+    let opts = PairOptions {
+        trace: Some(1 << 18),
+        ..PairOptions::default()
+    };
+    let [base, clustered] = run_pair_with(&w, &cfg, opts)
+        .observed
+        .expect("traced pair observes both runs");
+    let b = base.profile.overall_mean_overlap();
+    let c = clustered.profile.overall_mean_overlap();
     assert!(
-        clustered > base * 1.5,
-        "clustered overlap {clustered:.2} should clearly beat base {base:.2}"
+        c > b * 1.5,
+        "clustered overlap {c:.2} should clearly beat base {b:.2}"
     );
     // The profile's serialization ratio must move the other way.
-    let table = pair.clustered.profile.format_table("clustered");
+    let table = clustered.profile.format_table("clustered");
     assert!(
         table.contains("next"),
         "profile must attribute the chase ref"
@@ -143,7 +199,7 @@ fn golden_trace_json() -> String {
         pid: 0,
         events: &obs.trace,
         end_cycle: obs.end_cycle,
-        reuse: &obs.reuse_samples,
+        reuse: obs.reuse_samples(),
     }];
     chrome_trace_json(&runs, obs.clock_mhz)
 }

@@ -3,7 +3,7 @@
 //! (our substrate is a different simulator); they assert the *shape* of
 //! every major result.
 
-use mempar::{run_pair, run_pair_locality, Locality, MachineConfig, SimOptions};
+use mempar::{run_pair, run_pair_with, Locality, MachineConfig, PairOptions};
 use mempar_workloads::{latbench, App, LatbenchParams};
 
 /// Section 2.1/5.1: clustered misses overlap — Latbench speeds up by a
@@ -136,11 +136,18 @@ fn measured_locality_never_degrades_clustering() {
     for app in App::all() {
         let w = app.build(0.04);
         let cfg = MachineConfig::base_simulated(1, 32 * 1024);
-        let (analytic, _) = run_pair_locality(&w, &cfg, SimOptions::default(), Locality::Analytic);
-        let (measured, artifacts) =
-            run_pair_locality(&w, &cfg, SimOptions::default(), Locality::Measured);
+        let analytic = run_pair(&w, &cfg);
+        let out = run_pair_with(
+            &w,
+            &cfg,
+            PairOptions {
+                locality: Locality::Measured,
+                ..PairOptions::default()
+            },
+        );
+        let measured = out.pair;
         assert!(measured.outputs_match, "{}: outputs diverged", app.name());
-        let a = artifacts.expect("measured mode returns artifacts");
+        let a = out.locality.expect("measured mode returns artifacts");
         assert!(
             !a.delta.rows.is_empty(),
             "{}: empty delta table",

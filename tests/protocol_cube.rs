@@ -21,9 +21,7 @@
 //!   bit-identical (full `Debug`-rendered [`mempar_sim::SimResult`]),
 //!   exactly as `stepper_cube.rs` asserts for the directory default.
 
-use std::path::PathBuf;
-
-use mempar_difftest::{gen_spec, materialize, Built, PINNED_GEN_SEEDS};
+use mempar_difftest::{corpus_seeds, gen_spec, materialize, Built, PINNED_GEN_SEEDS};
 use mempar_ir::{run_parallel_functional, Interp, TraceDigest};
 use mempar_sim::{run_program_with, Engine, MachineConfig, Protocol, SimOptions, Stepper};
 
@@ -37,26 +35,6 @@ const FRESH_SEEDS: std::ops::Range<u64> = 3000..3100;
 /// that change landed, so agreement here is evidence the fast path is
 /// observation-equivalent on programs it was not tuned against.
 const FRESH_SEEDS_FAST_PATH: std::ops::Range<u64> = 4000..4100;
-
-fn corpus_seeds() -> Vec<u64> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
-    let mut seeds: Vec<u64> = std::fs::read_dir(dir)
-        .expect("tests/corpus exists")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "repro"))
-        .filter_map(|p| {
-            let text = std::fs::read_to_string(&p).ok()?;
-            text.lines()
-                .find_map(|l| l.strip_prefix("# seed: "))
-                .and_then(|s| s.trim().parse().ok())
-        })
-        .collect();
-    seeds.sort_unstable();
-    seeds.dedup();
-    assert!(!seeds.is_empty(), "corpus reproducers carry seeds");
-    seeds
-}
 
 /// The timing-free anchor: drains the dynamic-op stream (uniprocessor)
 /// or the parallel functional oracle (deterministic SPMD) and returns

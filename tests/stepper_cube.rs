@@ -9,34 +9,12 @@
 //! `Debug` formatting, which prints floats with shortest-roundtrip
 //! precision, so any bit-level divergence shows up.
 
-use std::path::PathBuf;
-
-use mempar_difftest::{gen_spec, materialize, PINNED_GEN_SEEDS};
+use mempar_difftest::{corpus_seeds, gen_spec, materialize, PINNED_GEN_SEEDS};
 use mempar_sim::{run_program_with, MachineConfig, SimOptions, Stepper};
 
 /// Fresh seeds beyond the pinned/corpus sets, disjoint from
 /// `engine_diff`'s block so the two sweeps compound coverage.
 const FRESH_SEEDS: std::ops::Range<u64> = 2000..2100;
-
-fn corpus_seeds() -> Vec<u64> {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
-    let mut seeds: Vec<u64> = std::fs::read_dir(dir)
-        .expect("tests/corpus exists")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "repro"))
-        .filter_map(|p| {
-            let text = std::fs::read_to_string(&p).ok()?;
-            text.lines()
-                .find_map(|l| l.strip_prefix("# seed: "))
-                .and_then(|s| s.trim().parse().ok())
-        })
-        .collect();
-    seeds.sort_unstable();
-    seeds.dedup();
-    assert!(!seeds.is_empty(), "corpus reproducers carry seeds");
-    seeds
-}
 
 /// Simulates one generated program under `opts`, returning the full
 /// `Debug`-rendered [`mempar_sim::SimResult`] and the final memory

@@ -50,6 +50,7 @@ fn run_debug_traced(app: App, scale: f64, mp: bool, opts: SimOptions) -> String 
         &cfg,
         opts,
         Tracer::with_capacity(1 << 16),
+        None,
     );
     format!("{r:?}")
 }

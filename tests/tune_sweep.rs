@@ -6,8 +6,8 @@
 //! `tests/corpus/` before the assert fires.
 //!
 //! The quick test covers the pinned golden seeds plus a fresh block;
-//! the `#[ignore]` acceptance sweep covers ≥500 seeds (CI `tune-smoke`
-//! runs the quick tier; the difftest-smoke pattern applies).
+//! the `#[ignore]` acceptance sweep covers ≥500 seeds (the CI `test`
+//! job runs both tiers, as it does for `difftest_smoke`).
 
 use mempar::{profile_miss_rates, MachineConfig};
 use mempar_difftest::{
@@ -81,7 +81,7 @@ fn tuned_compositions_preserve_semantics_quick() {
 }
 
 #[test]
-#[ignore = "acceptance-scale; run via cargo test -- --ignored (CI tune-smoke job)"]
+#[ignore = "acceptance-scale; run via cargo test -- --ignored (CI test job)"]
 fn tuned_compositions_preserve_semantics_full() {
     sweep(PINNED_GEN_SEEDS.iter().copied().chain(0..500));
 }

@@ -61,7 +61,7 @@ fn threads_do_not_change_the_winner_quick() {
 }
 
 #[test]
-#[ignore = "acceptance-scale; run via cargo test -- --ignored (CI tune-smoke job)"]
+#[ignore = "acceptance-scale; run via cargo test -- --ignored (CI test job)"]
 fn threads_do_not_change_the_winner_full() {
     assert_thread_invariance(PINNED_GEN_SEEDS.iter().copied().chain(0..100));
 }
