@@ -48,22 +48,39 @@ fn main() {
         ("erlebacher-up", App::Erlebacher, false),
         ("fft-mp", App::Fft, true),
     ];
-    let modes: &[(&str, Stepper, Engine)] = &[
-        ("strict-cycle", Stepper::Strict, Engine::Bytecode),
-        ("event", Stepper::Event, Engine::Bytecode),
+    let directory = |stepper, engine| SimOptions {
+        stepper,
+        engine,
+        protocol: Protocol::Directory,
+    };
+    let snooping = |protocol| SimOptions {
+        stepper: Stepper::Event,
+        engine: Engine::Bytecode,
+        protocol,
+    };
+    // The directory legs must agree on simulated cycles. The alternative
+    // coherence machines ride the event driver; their cycle counts are
+    // their own (the per-protocol dimension is the point), but their
+    // functional results must match the directory event leg bit-for-bit.
+    let legs: &[(&str, SimOptions)] = &[
+        ("strict-cycle", directory(Stepper::Strict, Engine::Bytecode)),
+        ("event", directory(Stepper::Event, Engine::Bytecode)),
         // The engine comparison rides the fastest stepper so the
         // front-end difference is least diluted by the timing model.
-        ("tree-walk", Stepper::Event, Engine::Interp),
+        ("tree-walk", directory(Stepper::Event, Engine::Interp)),
+        ("event-mesi", snooping(Protocol::Mesi)),
+        ("event-moesi", snooping(Protocol::Moesi)),
+        ("event-dragon", snooping(Protocol::Dragon)),
     ];
     let mut records: Vec<SimBenchRecord> = Vec::new();
     let mut frontend: Vec<FrontendBenchRecord> = Vec::new();
     let mut locality: Vec<LocalityBenchRecord> = Vec::new();
     for &(name, app, mp) in experiments {
         let mut cycles_by_mode = Vec::new();
-        // Functional reference from the directory event leg: the
-        // protocol legs below must reproduce it exactly.
+        // Functional reference from the directory event leg, which runs
+        // before every protocol leg.
         let mut func_ref = None;
-        for &(mode, stepper, engine) in modes {
+        for &(mode, opts) in legs {
             let w = app.build(args.scale);
             let nprocs = if mp { w.mp_procs.max(1) } else { 1 };
             let cfg = MachineConfig::base_simulated(nprocs, 64 * 1024);
@@ -77,18 +94,7 @@ fn main() {
             let mut fingerprint = 0u64;
             while reps < 3 || (reps < 8 && total < 1.0) {
                 let mut mem = w.memory(nprocs);
-                let (r, secs) = timed(|| {
-                    run_program_with(
-                        &w.program,
-                        &mut mem,
-                        &cfg,
-                        SimOptions {
-                            stepper,
-                            engine,
-                            protocol: Protocol::Directory,
-                        },
-                    )
-                });
+                let (r, secs) = timed(|| run_program_with(&w.program, &mut mem, &cfg, opts));
                 reps += 1;
                 total += secs;
                 fingerprint = mem.fingerprint();
@@ -104,9 +110,19 @@ fn main() {
                     r.cycles as f64 / secs.max(1e-12)
                 );
             }
-            cycles_by_mode.push(r.cycles);
+            let func = (r.retired, r.counters.loads, r.counters.stores, fingerprint);
+            if opts.protocol == Protocol::Directory {
+                cycles_by_mode.push(r.cycles);
+            } else {
+                assert_eq!(
+                    Some(func),
+                    func_ref,
+                    "{name}: protocol {} changed functional results",
+                    opts.protocol
+                );
+            }
             if mode == "event" {
-                func_ref = Some((r.retired, r.counters.loads, r.counters.stores, fingerprint));
+                func_ref = Some(func);
             }
             records.push(SimBenchRecord {
                 experiment: name.to_string(),
@@ -115,8 +131,8 @@ fn main() {
                 cores: nprocs,
                 wall_seconds: secs,
                 // The occupancy summary only needs recording once per
-                // experiment; every mode produces an identical histogram,
-                // so attach it to the default (event) run.
+                // experiment; every directory mode produces an identical
+                // histogram, so attach it to the default (event) run.
                 occupancy: (mode == "event").then(|| r.occupancy.clone()),
             });
         }
@@ -125,68 +141,6 @@ fn main() {
             "{name}: stepper or engine changed the simulated cycle count: \
              {cycles_by_mode:?}"
         );
-        // Alternative coherence machines under the event driver. Their
-        // cycle counts are their own (so they stay OUT of the cross-mode
-        // equality assertion above — the per-protocol dimension is the
-        // point), but functional results must match the directory leg
-        // bit-for-bit.
-        let protocol_modes: &[(&str, Protocol)] = &[
-            ("event-mesi", Protocol::Mesi),
-            ("event-moesi", Protocol::Moesi),
-            ("event-dragon", Protocol::Dragon),
-        ];
-        for &(mode, protocol) in protocol_modes {
-            let w = app.build(args.scale);
-            let nprocs = if mp { w.mp_procs.max(1) } else { 1 };
-            let cfg = MachineConfig::base_simulated(nprocs, 64 * 1024);
-            let mut best = None;
-            let mut reps = 0;
-            let mut total = 0.0;
-            let mut fingerprint = 0u64;
-            while reps < 3 || (reps < 8 && total < 1.0) {
-                let mut mem = w.memory(nprocs);
-                let (r, secs) = timed(|| {
-                    run_program_with(
-                        &w.program,
-                        &mut mem,
-                        &cfg,
-                        SimOptions {
-                            stepper: Stepper::Event,
-                            engine: Engine::Bytecode,
-                            protocol,
-                        },
-                    )
-                });
-                reps += 1;
-                total += secs;
-                fingerprint = mem.fingerprint();
-                if best.as_ref().is_none_or(|&(_, b)| secs < b) {
-                    best = Some((r, secs));
-                }
-            }
-            let (r, secs) = best.expect("at least one rep");
-            let reference = func_ref.expect("directory event leg always runs first");
-            assert_eq!(
-                (r.retired, r.counters.loads, r.counters.stores, fingerprint),
-                reference,
-                "{name}: protocol {protocol} changed functional results"
-            );
-            if log_enabled(LogLevel::Info) {
-                eprintln!(
-                    "[{name}] {mode}: {} cycles in {secs:.3}s = {:.0} cycles/sec",
-                    r.cycles,
-                    r.cycles as f64 / secs.max(1e-12)
-                );
-            }
-            records.push(SimBenchRecord {
-                experiment: name.to_string(),
-                mode: mode.to_string(),
-                cycles: r.cycles,
-                cores: nprocs,
-                wall_seconds: secs,
-                occupancy: None,
-            });
-        }
         // Isolated front-end drain: the same dynamic-op stream with no
         // timing model attached. The simulated runs above spend most of
         // their host time in the timing model, so `engine_speedup` sits
@@ -264,11 +218,7 @@ fn main() {
         let mut reuse_mem = w.memory(1);
         let (_, report) =
             measure_locality(&w.program, &mut reuse_mem, &cfg, ReuseConfig::default());
-        let opts = SimOptions {
-            stepper: Stepper::Event,
-            engine: Engine::Bytecode,
-            protocol: Protocol::Directory,
-        };
+        let opts = directory(Stepper::Event, Engine::Bytecode);
         let mut sim_best = f64::INFINITY;
         let mut tap_best = f64::INFINITY;
         for _ in 0..3 {

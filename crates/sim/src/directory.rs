@@ -19,18 +19,6 @@ struct DirEntry {
     owner: Option<u8>,
 }
 
-/// The directory's response to a write request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteGrant {
-    /// Where the data comes from (irrelevant for upgrades, where the
-    /// requester already holds the line shared).
-    pub source: DataSource,
-    /// Processors whose copies must be invalidated.
-    pub invalidees: Vec<usize>,
-    /// True when the requester already held the line shared (upgrade).
-    pub upgrade: bool,
-}
-
 /// Full-map directory.
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
@@ -42,12 +30,22 @@ impl Directory {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Handles a read miss by `proc` on `line`; updates state and reports
-    /// the data source. A modified owner is downgraded to sharer.
-    pub fn read_req(&mut self, line: u64, proc: usize) -> DataSource {
+/// The MSI directory: every cache-to-cache read supply also writes
+/// memory back (downgrading the owner to sharer), fills install
+/// `Shared`/`Modified` only, and `Exclusive` is never used, so a write
+/// to a present line always takes a transaction unless the line is
+/// already `Modified`.
+impl CoherenceProtocol for Directory {
+    fn kind(&self) -> Protocol {
+        Protocol::Directory
+    }
+
+    /// A modified owner supplies the line and is downgraded to sharer.
+    fn read_miss(&mut self, line: u64, proc: usize, txn: &mut CohTxn) {
         let e = self.entries.entry(line);
-        let src = match e.owner {
+        txn.source = match e.owner {
             Some(o) if o as usize != proc => DataSource::CacheToCache { owner: o as usize },
             _ => DataSource::Memory,
         };
@@ -55,85 +53,9 @@ impl Directory {
             e.sharers |= 1 << o;
         }
         e.sharers |= 1 << proc;
-        src
-    }
-
-    /// Handles a write miss or upgrade by `proc` on `line`; updates state,
-    /// reporting the data source and the sharers to invalidate.
-    pub fn write_req(&mut self, line: u64, proc: usize) -> WriteGrant {
-        let upgrade = self
-            .entries
-            .get(line)
-            .is_some_and(|e| e.sharers & (1 << proc) != 0 && e.owner.is_none());
-        let mut txn = CohTxn::default();
-        CoherenceProtocol::write_miss(self, line, proc, &mut txn);
-        WriteGrant {
-            source: txn.source,
-            invalidees: txn.invalidees,
-            upgrade,
-        }
-    }
-
-    /// Records that `proc` evicted its copy of `line`.
-    pub fn evict(&mut self, line: u64, proc: usize) {
-        if let Some(e) = self.entries.get_mut(line) {
-            e.sharers &= !(1u64 << proc);
-            if e.owner == Some(proc as u8) {
-                e.owner = None;
-            }
-            if e.sharers == 0 && e.owner.is_none() {
-                self.entries.remove(line);
-            }
-        }
-    }
-
-    /// Current owner of `line`, if modified in a cache.
-    pub fn owner(&self, line: u64) -> Option<usize> {
-        self.entries
-            .get(line)
-            .and_then(|e| e.owner.map(|o| o as usize))
-    }
-
-    /// Number of sharers of `line`.
-    pub fn sharer_count(&self, line: u64) -> usize {
-        self.entries
-            .get(line)
-            .map(|e| e.sharers.count_ones() as usize + usize::from(e.owner.is_some()))
-            .unwrap_or(0)
-    }
-
-    /// Number of lines with live directory state.
-    pub fn line_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Total sharer-list population across all tracked lines (exclusive
-    /// owners included).
-    pub fn total_sharers(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| e.sharers.count_ones() as usize + usize::from(e.owner.is_some()))
-            .sum()
-    }
-}
-
-/// The MSI directory viewed through the pluggable-protocol interface.
-/// Semantics are exactly the inherent methods': every cache-to-cache
-/// read supply also writes memory back (downgrading the owner to
-/// sharer), fills install `Shared`/`Modified` only, and `Exclusive` is
-/// never used, so a write to a present line always takes a transaction
-/// unless the line is already `Modified`.
-impl CoherenceProtocol for Directory {
-    fn kind(&self) -> Protocol {
-        Protocol::Directory
-    }
-
-    fn read_miss(&mut self, line: u64, proc: usize, txn: &mut CohTxn) {
-        let source = Directory::read_req(self, line, proc);
-        txn.source = source;
         // The paper's directory keeps memory current: a dirty owner
         // supplying a read writes home back in the same transaction.
-        txn.memory_update = matches!(source, DataSource::CacheToCache { .. });
+        txn.memory_update = matches!(txn.source, DataSource::CacheToCache { .. });
         txn.install = LineState::Shared;
     }
 
@@ -160,7 +82,15 @@ impl CoherenceProtocol for Directory {
     }
 
     fn evict(&mut self, line: u64, proc: usize) {
-        Directory::evict(self, line, proc);
+        if let Some(e) = self.entries.get_mut(line) {
+            e.sharers &= !(1u64 << proc);
+            if e.owner == Some(proc as u8) {
+                e.owner = None;
+            }
+            if e.sharers == 0 && e.owner.is_none() {
+                self.entries.remove(line);
+            }
+        }
     }
 
     fn silent_upgrade(&mut self, _line: u64, _proc: usize) {
@@ -177,11 +107,15 @@ impl CoherenceProtocol for Directory {
     }
 
     fn line_count(&self) -> usize {
-        Directory::line_count(self)
+        self.entries.len()
     }
 
+    /// Sharer-list population, exclusive owners included.
     fn total_sharers(&self) -> usize {
-        Directory::total_sharers(self)
+        self.entries
+            .values()
+            .map(|e| e.sharers.count_ones() as usize + usize::from(e.owner.is_some()))
+            .sum()
     }
 
     fn table_slots(&self) -> usize {
@@ -196,26 +130,34 @@ mod tests {
     #[test]
     fn cold_read_comes_from_memory() {
         let mut d = Directory::new();
-        assert_eq!(d.read_req(10, 0), DataSource::Memory);
-        assert_eq!(d.sharer_count(10), 1);
+        let r = d.read_req(10, 0);
+        assert_eq!(r.source, DataSource::Memory);
+        assert!(!r.memory_update);
+        assert_eq!(r.install, LineState::Shared);
+        assert_eq!((d.line_count(), d.total_sharers()), (1, 1));
     }
 
     #[test]
     fn second_reader_shares() {
         let mut d = Directory::new();
         d.read_req(10, 0);
-        assert_eq!(d.read_req(10, 1), DataSource::Memory);
-        assert_eq!(d.sharer_count(10), 2);
+        assert_eq!(d.read_req(10, 1).source, DataSource::Memory);
+        assert_eq!((d.line_count(), d.total_sharers()), (1, 2));
     }
 
     #[test]
     fn read_of_modified_line_is_c2c_and_downgrades() {
         let mut d = Directory::new();
-        d.write_req(10, 2);
-        assert_eq!(d.owner(10), Some(2));
-        assert_eq!(d.read_req(10, 0), DataSource::CacheToCache { owner: 2 });
-        assert_eq!(d.owner(10), None);
-        assert_eq!(d.sharer_count(10), 2);
+        assert_eq!(d.write_req(10, 2).install, LineState::Modified);
+        let r = d.read_req(10, 0);
+        assert_eq!(r.source, DataSource::CacheToCache { owner: 2 });
+        assert!(r.memory_update, "a dirty supply writes home back");
+        assert_eq!(d.total_sharers(), 2);
+        // The old owner is now a plain sharer: a write finds no owner to
+        // supply and invalidates both copies.
+        let w = d.write_req(10, 3);
+        assert_eq!(w.source, DataSource::Memory);
+        assert_eq!(w.invalidees, vec![0, 2]);
     }
 
     #[test]
@@ -225,13 +167,15 @@ mod tests {
         d.read_req(10, 1);
         d.read_req(10, 2);
         let g = d.write_req(10, 0);
-        assert!(g.upgrade);
         assert_eq!(g.source, DataSource::Memory);
-        let mut inv = g.invalidees.clone();
-        inv.sort_unstable();
-        assert_eq!(inv, vec![1, 2]);
-        assert_eq!(d.owner(10), Some(0));
-        assert_eq!(d.sharer_count(10), 1);
+        assert_eq!(g.invalidees, vec![1, 2]);
+        assert_eq!(g.install, LineState::Modified);
+        assert_eq!((d.line_count(), d.total_sharers()), (1, 1));
+        // The writer owns the line and supplies the next reader.
+        assert_eq!(
+            d.read_req(10, 1).source,
+            DataSource::CacheToCache { owner: 0 }
+        );
     }
 
     #[test]
@@ -239,10 +183,13 @@ mod tests {
         let mut d = Directory::new();
         d.write_req(10, 3);
         let g = d.write_req(10, 1);
-        assert!(!g.upgrade);
         assert_eq!(g.source, DataSource::CacheToCache { owner: 3 });
         assert_eq!(g.invalidees, vec![3]);
-        assert_eq!(d.owner(10), Some(1));
+        assert_eq!(d.total_sharers(), 1, "ownership moved, not shared");
+        assert_eq!(
+            d.read_req(10, 0).source,
+            DataSource::CacheToCache { owner: 1 }
+        );
     }
 
     #[test]
@@ -259,9 +206,10 @@ mod tests {
         let mut d = Directory::new();
         d.read_req(10, 0);
         d.evict(10, 0);
-        assert_eq!(d.sharer_count(10), 0);
+        assert_eq!((d.line_count(), d.total_sharers()), (0, 0));
         d.write_req(11, 5);
         d.evict(11, 5);
-        assert_eq!(d.owner(11), None);
+        assert_eq!((d.line_count(), d.total_sharers()), (0, 0));
+        assert_eq!(d.read_req(11, 0).source, DataSource::Memory);
     }
 }

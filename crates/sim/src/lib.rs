@@ -68,12 +68,10 @@ pub use config::{
     BusParams, CacheParams, FuParams, Interleave, MachineConfig, MemParams, NetParams, ProcParams,
     Topology,
 };
-pub use directory::{Directory, WriteGrant};
+pub use directory::Directory;
 pub use interconnect::{bank_of, Bus, MemoryBanks, Mesh};
 pub use memsys::{Access, MemSystem};
-pub use protocol::{
-    CohTxn, CoherenceProtocol, DataSource, Dragon, Mesi, Moesi, Protocol, ReadOutcome, WriteOutcome,
-};
+pub use protocol::{CohTxn, CoherenceProtocol, DataSource, Protocol};
 pub use resource::{Resource, ResourcePool};
 pub use sync::SyncState;
 pub use system::{

@@ -166,13 +166,6 @@ impl<V: Copy + Default> LineTable<V> {
         (hash(line) >> (64 - SHARD_BITS)) as usize
     }
 
-    /// The value for `line`, if present.
-    #[inline]
-    pub fn get(&self, line: u64) -> Option<&V> {
-        let s = &self.shards[self.shard_of(line)];
-        s.find(line).map(|i| &s.vals[i])
-    }
-
     /// Mutable access to the value for `line`, if present.
     #[inline]
     pub fn get_mut(&mut self, line: u64) -> Option<&mut V> {
@@ -235,16 +228,15 @@ mod tests {
         }
         assert_eq!(t.len(), 1000);
         for line in 0..1000u64 {
-            assert_eq!(t.get(line * 7), Some(&line));
+            assert_eq!(t.get_mut(line * 7).copied(), Some(line));
         }
-        assert_eq!(t.get(3), None);
+        assert_eq!(t.get_mut(3), None);
         for line in (0..1000u64).step_by(2) {
             assert_eq!(t.remove(line * 7), Some(line));
         }
         assert_eq!(t.len(), 500);
         for line in 0..1000u64 {
             let want = (line % 2 == 1).then_some(line);
-            assert_eq!(t.get(line * 7).copied(), want);
             assert_eq!(t.get_mut(line * 7).copied(), want);
         }
     }
@@ -271,7 +263,7 @@ mod tests {
                     assert_eq!(t.remove(line), model.remove(&line));
                 }
                 _ => {
-                    assert_eq!(t.get(line), model.get(&line));
+                    assert_eq!(t.get_mut(line).copied(), model.get(&line).copied());
                 }
             }
         }
@@ -294,7 +286,7 @@ mod tests {
         }
         assert_eq!(t.len(), 10_000);
         for i in 0..10_000u64 {
-            assert_eq!(t.get(i * 1024), Some(&1));
+            assert_eq!(t.get_mut(i * 1024).copied(), Some(1));
         }
     }
 }

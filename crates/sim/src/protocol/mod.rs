@@ -11,31 +11,20 @@
 //! The cross-protocol conformance suite (`tests/protocol_cube.rs`)
 //! asserts exactly that.
 //!
-//! Four protocols are provided:
+//! Two state machines serve the four [`Protocol`] values:
 //!
 //! * **Directory** — the paper's CC-NUMA full-map directory (MSI states),
 //!   the default and the machine every committed golden snapshot uses;
-//! * **MESI** — Illinois-style snooping: clean cache-to-cache supply, an
-//!   `Exclusive` state with silent `E → M` write hits, dirty supply
-//!   writes memory back and downgrades the owner;
-//! * **MOESI** — adds `Owned`: a dirty supplier keeps the line (`M → O`)
-//!   and memory is *not* updated until the owned line is evicted; clean
-//!   copies come from memory;
-//! * **Dragon** — write-update: writes to shared lines broadcast the
-//!   written word to every holder instead of invalidating, the writer
-//!   holds the line `Sm` ([`LineState::Owned`]) and keeps supplying it.
+//! * **MESI, MOESI, Dragon** — one snooping machine with `Exclusive`
+//!   (silent `E → M` write hits) and `Owned`, whose two differences are
+//!   properties of the enum: [`Protocol::supplies_clean`] (MESI) and
+//!   [`Protocol::updates_on_write`] (Dragon). See the `snoop` module.
 
-mod dragon;
-mod mesi;
-mod moesi;
-
-pub use dragon::Dragon;
-pub use mesi::Mesi;
-pub use moesi::Moesi;
+mod snoop;
 
 use crate::cache::LineState;
 use crate::directory::Directory;
-use crate::linetable::LineTable;
+use snoop::Snoop;
 
 /// Where a miss's data comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,10 +72,22 @@ impl Protocol {
     pub fn build(self) -> Box<dyn CoherenceProtocol> {
         match self {
             Protocol::Directory => Box::new(Directory::new()),
-            Protocol::Mesi => Box::new(Mesi::default()),
-            Protocol::Moesi => Box::new(Moesi::default()),
-            Protocol::Dragon => Box::new(Dragon::default()),
+            snooping => Box::new(Snoop::new(snooping)),
         }
+    }
+
+    /// Whether a clean copy answers a read snoop (Illinois-MESI): any
+    /// holder supplies a read, and a dirty supply writes home back.
+    /// Otherwise only a dirty owner supplies, and it keeps the line
+    /// `Owned` with memory stale (MOESI, Dragon).
+    pub fn supplies_clean(self) -> bool {
+        self == Protocol::Mesi
+    }
+
+    /// Whether writes update the other holders instead of invalidating
+    /// them (Dragon).
+    pub fn updates_on_write(self) -> bool {
+        self == Protocol::Dragon
     }
 }
 
@@ -131,8 +132,11 @@ impl std::str::FromStr for Protocol {
 pub struct CohTxn {
     /// Where the data comes from.
     pub source: DataSource,
-    /// Whether home memory is updated as part of this transaction (see
-    /// [`ReadOutcome::memory_update`]). Only meaningful for reads.
+    /// Whether home memory is updated as part of this transaction (a
+    /// dirty supplier writing back while downgrading). The memory system
+    /// charges writeback bank bandwidth and downgrades the supplier to
+    /// `Shared` when set; a cache-to-cache supply without it leaves a
+    /// dirty supplier `Owned`. Only meaningful for reads.
     pub memory_update: bool,
     /// The state the requester's L2 installs at fill time.
     pub install: LineState,
@@ -141,7 +145,8 @@ pub struct CohTxn {
     /// order.
     pub invalidees: Vec<usize>,
     /// Processors whose copies receive the written word instead
-    /// (write-update protocols), ascending.
+    /// (write-update protocols), ascending; their lines stay valid but
+    /// any exclusive/dirty holder drops to `Shared`.
     pub updatees: Vec<usize>,
     /// Processors whose clean-`Exclusive` copies drop to `Shared`,
     /// ascending. Only meaningful for memory-sourced reads.
@@ -175,42 +180,6 @@ impl CohTxn {
     }
 }
 
-/// The protocol's response to a read miss.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReadOutcome {
-    /// Where the data comes from.
-    pub source: DataSource,
-    /// Whether home memory is updated as part of this transaction (a
-    /// dirty supplier writing back while downgrading). The memory system
-    /// charges writeback bank bandwidth and downgrades the supplier to
-    /// `Shared` when set; a cache-to-cache supply without it leaves the
-    /// supplier `Owned`.
-    pub memory_update: bool,
-    /// The state the requester's L2 installs at fill time.
-    pub install: LineState,
-    /// Processors whose clean-`Exclusive` copies drop to `Shared`
-    /// because the line becomes shared (only meaningful for
-    /// memory-sourced reads; cache-to-cache suppliers are downgraded via
-    /// `source`/`memory_update`).
-    pub demote: Vec<usize>,
-}
-
-/// The protocol's response to a write miss or upgrade.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteOutcome {
-    /// Where the data comes from (irrelevant on the upgrade timing path,
-    /// where the requester already holds the line).
-    pub source: DataSource,
-    /// Processors whose copies are invalidated.
-    pub invalidees: Vec<usize>,
-    /// Processors whose copies receive the written word instead of an
-    /// invalidation (write-update protocols); their lines stay valid but
-    /// any exclusive/dirty holder drops to `Shared`.
-    pub updatees: Vec<usize>,
-    /// The state the requester's L2 installs at fill time.
-    pub install: LineState,
-}
-
 /// A cache-coherence state machine.
 ///
 /// Implementations are *oracles*: they track, per line, which processors
@@ -234,31 +203,21 @@ pub trait CoherenceProtocol: Send + std::fmt::Debug {
     /// [`CoherenceProtocol::read_miss`]).
     fn write_miss(&mut self, line: u64, proc: usize, txn: &mut CohTxn);
 
-    /// Handles a read miss, returning a freshly allocated outcome — the
+    /// Handles a read miss in a freshly allocated transaction — the
     /// convenience form of [`CoherenceProtocol::read_miss`] for tests
     /// and tools; the simulator's hot path uses the pooled form.
-    fn read_req(&mut self, line: u64, proc: usize) -> ReadOutcome {
+    fn read_req(&mut self, line: u64, proc: usize) -> CohTxn {
         let mut txn = CohTxn::default();
         self.read_miss(line, proc, &mut txn);
-        ReadOutcome {
-            source: txn.source,
-            memory_update: txn.memory_update,
-            install: txn.install,
-            demote: txn.demote,
-        }
+        txn
     }
 
-    /// Handles a write miss or upgrade, returning a freshly allocated
-    /// outcome (convenience form of [`CoherenceProtocol::write_miss`]).
-    fn write_req(&mut self, line: u64, proc: usize) -> WriteOutcome {
+    /// Handles a write miss or upgrade in a freshly allocated
+    /// transaction (convenience form of [`CoherenceProtocol::write_miss`]).
+    fn write_req(&mut self, line: u64, proc: usize) -> CohTxn {
         let mut txn = CohTxn::default();
         self.write_miss(line, proc, &mut txn);
-        WriteOutcome {
-            source: txn.source,
-            invalidees: txn.invalidees,
-            updatees: txn.updatees,
-            install: txn.install,
-        }
+        txn
     }
 
     /// Records that `proc` evicted its copy of `line`.
@@ -298,67 +257,6 @@ pub trait CoherenceProtocol: Send + std::fmt::Debug {
     }
 }
 
-/// Per-line holder record shared by the snooping protocols.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct HolderEntry {
-    /// Bitmask of processors holding a copy (owner included).
-    pub holders: u64,
-    /// Processor responsible for supplying the line, if any.
-    pub owner: Option<u8>,
-    /// Whether the owner's copy is dirty (memory is stale).
-    pub owner_dirty: bool,
-}
-
-impl HolderEntry {
-    /// Holders other than `proc`.
-    pub fn others(&self, proc: usize) -> u64 {
-        self.holders & !(1u64 << proc)
-    }
-}
-
-/// Line-indexed holder map shared by the snooping protocols, backed by
-/// the open-addressed [`LineTable`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct HolderMap {
-    entries: LineTable<HolderEntry>,
-}
-
-impl HolderMap {
-    pub fn entry(&mut self, line: u64) -> &mut HolderEntry {
-        self.entries.entry(line)
-    }
-
-    /// Removes `proc` from `line`'s holders, clearing ownership and
-    /// dropping the entry when the last copy goes.
-    pub fn evict(&mut self, line: u64, proc: usize) {
-        if let Some(e) = self.entries.get_mut(line) {
-            e.holders &= !(1u64 << proc);
-            if e.owner == Some(proc as u8) {
-                e.owner = None;
-                e.owner_dirty = false;
-            }
-            if e.holders == 0 {
-                self.entries.remove(line);
-            }
-        }
-    }
-
-    pub fn line_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn table_slots(&self) -> usize {
-        self.entries.capacity()
-    }
-
-    pub fn total_sharers(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| e.holders.count_ones() as usize)
-            .sum()
-    }
-}
-
 /// Pushes the processors set in `mask` onto `out`, lowest first —
 /// ascending order is load-bearing (see [`CohTxn::invalidees`]).
 pub(crate) fn push_mask_procs(mask: u64, out: &mut Vec<usize>) {
@@ -367,14 +265,6 @@ pub(crate) fn push_mask_procs(mask: u64, out: &mut Vec<usize>) {
         out.push(m.trailing_zeros() as usize);
         m &= m - 1;
     }
-}
-
-/// The processors set in `mask`, lowest first (allocating form).
-#[cfg(test)]
-pub(crate) fn mask_to_procs(mask: u64) -> Vec<usize> {
-    let mut v = Vec::with_capacity(mask.count_ones() as usize);
-    push_mask_procs(mask, &mut v);
-    v
 }
 
 #[cfg(test)]
@@ -398,26 +288,20 @@ mod tests {
     }
 
     #[test]
-    fn mask_to_procs_orders_low_first() {
-        assert_eq!(mask_to_procs(0), Vec::<usize>::new());
-        assert_eq!(mask_to_procs(0b1011), vec![0, 1, 3]);
+    fn properties_select_the_snooping_protocols() {
+        let pick = |f: fn(Protocol) -> bool| -> Vec<Protocol> {
+            Protocol::all().into_iter().filter(|&p| f(p)).collect()
+        };
+        assert_eq!(pick(Protocol::supplies_clean), vec![Protocol::Mesi]);
+        assert_eq!(pick(Protocol::updates_on_write), vec![Protocol::Dragon]);
     }
 
     #[test]
-    fn holder_map_evicts_and_counts() {
-        let mut m = HolderMap::default();
-        let e = m.entry(7);
-        e.holders = 0b11;
-        e.owner = Some(1);
-        e.owner_dirty = true;
-        assert_eq!(m.line_count(), 1);
-        assert_eq!(m.total_sharers(), 2);
-        m.evict(7, 1);
-        let e = m.entry(7);
-        assert_eq!(e.holders, 0b01, "still held by 0");
-        assert_eq!(e.owner, None);
-        assert!(!e.owner_dirty);
-        m.evict(7, 0);
-        assert_eq!(m.line_count(), 0);
+    fn push_mask_procs_orders_low_first() {
+        let mut v = Vec::new();
+        push_mask_procs(0, &mut v);
+        assert_eq!(v, Vec::<usize>::new());
+        push_mask_procs(0b1011, &mut v);
+        assert_eq!(v, vec![0, 1, 3]);
     }
 }

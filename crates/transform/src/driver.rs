@@ -19,7 +19,7 @@ use mempar_analysis::{analyze_inner_loop, MachineSummary, MissProfile, NestAnaly
 use mempar_ir::Program;
 
 use crate::interchange::interchange_postlude;
-use crate::nest::{enclosing_vars, innermost_loops, loop_at, NestPath};
+use crate::nest::{deepest_inner, enclosing_vars, innermost_loops, loop_at, NestPath};
 use crate::scalar_replace::scalar_replace;
 use crate::schedule::schedule_for_misses;
 use crate::unroll::{inner_unroll, unroll_and_jam};
@@ -391,20 +391,6 @@ fn search_degree(
         }
     }
     candidates[lo]
-}
-
-/// The deepest first innermost loop under `start` (after a jam, the fused
-/// loop is the one with the largest body; prefer it).
-fn deepest_inner(prog: &Program, start: &NestPath) -> Option<NestPath> {
-    let mut all = innermost_loops(prog);
-    all.retain(|p| p.0.starts_with(&start.0));
-    if all.is_empty() {
-        // `start` itself is innermost.
-        return loop_at(prog, start).map(|_| start.clone());
-    }
-    // Prefer the innermost loop with the largest body (the fused jam).
-    all.into_iter()
-        .max_by_key(|p| loop_at(prog, p).map(|l| l.body.len()).unwrap_or(0))
 }
 
 /// True when unrolling the loop over `pv` would add new *read* miss

@@ -70,7 +70,8 @@ pub use legality::{
     VarRanges,
 };
 pub use nest::{
-    contains_loop, contains_sync, enclosing_vars, innermost_loops, loop_at, loop_at_mut, NestPath,
+    contains_loop, contains_sync, deepest_inner, enclosing_vars, innermost_loops, loop_at,
+    loop_at_mut, NestPath,
 };
 pub use prefetch::insert_prefetches;
 pub use scalar_replace::{count_loads, scalar_replace};

@@ -114,6 +114,20 @@ pub fn innermost_loops(prog: &Program) -> Vec<NestPath> {
     out
 }
 
+/// The deepest first innermost loop under `start` (after a jam, the fused
+/// loop is the one with the largest body; prefer it).
+pub fn deepest_inner(prog: &Program, start: &NestPath) -> Option<NestPath> {
+    let mut all = innermost_loops(prog);
+    all.retain(|p| p.0.starts_with(&start.0));
+    if all.is_empty() {
+        // `start` itself is innermost.
+        return loop_at(prog, start).map(|_| start.clone());
+    }
+    // Prefer the innermost loop with the largest body (the fused jam).
+    all.into_iter()
+        .max_by_key(|p| loop_at(prog, p).map(|l| l.body.len()).unwrap_or(0))
+}
+
 /// True when `body` contains a loop anywhere (including inside guards).
 pub fn contains_loop(body: &[Stmt]) -> bool {
     body.iter().any(|s| match s {

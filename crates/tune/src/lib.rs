@@ -38,9 +38,7 @@ mod tuner;
 
 pub use export::{export_metrics, tune_trace_json};
 pub use memo::{config_fingerprint, opts_signature, MemoKey, ScoreMemo};
-pub use space::{
-    apply_composition, build_space, deepest_inner, Composition, NestSpace, SpaceOptions, SpaceStats,
-};
+pub use space::{apply_composition, build_space, Composition, NestSpace, SpaceOptions, SpaceStats};
 pub use tuner::{
     CandidateTrace, MemFactory, NestOutcome, SearchStats, TuneOptions, TuneReport, Tuner,
 };

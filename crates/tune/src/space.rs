@@ -23,8 +23,8 @@
 
 use mempar_ir::Program;
 use mempar_transform::{
-    inner_unroll, interchange, interchange_postlude, loop_at, scalar_replace, schedule_for_misses,
-    strip_mine, unroll_and_jam, NestPath, TransformError,
+    deepest_inner, inner_unroll, interchange, interchange_postlude, scalar_replace,
+    schedule_for_misses, strip_mine, unroll_and_jam, NestPath, TransformError,
 };
 
 /// One point in a nest's composition space.
@@ -331,16 +331,4 @@ pub fn apply_composition(
     }
 
     Ok(inner)
-}
-
-/// The innermost loop within the subtree rooted at `start` (largest
-/// body wins, matching the driver's pick of the fused jam).
-pub fn deepest_inner(prog: &Program, start: &NestPath) -> Option<NestPath> {
-    let mut all = mempar_transform::innermost_loops(prog);
-    all.retain(|p| p.0.starts_with(&start.0));
-    if all.is_empty() {
-        return loop_at(prog, start).map(|_| start.clone());
-    }
-    all.into_iter()
-        .max_by_key(|p| loop_at(prog, p).map(|l| l.body.len()).unwrap_or(0))
 }

@@ -16,6 +16,11 @@
 //!   memory back and downgrading the owner, while MOESI does exactly
 //!   the opposite (the supplier keeps the line `Owned`);
 //! * a cache-to-cache supplier actually holds the line;
+//! * a write to a held copy that is not a write hit is `upgradeable`
+//!   (the no-data permission/update path);
+//! * the directory and MESI never leave a copy `Owned`, and the
+//!   directory never installs `Exclusive` — the premise that lets one
+//!   `Shared | Owned` upgrade rule serve all three snooping protocols;
 //! * the oracle's population gauges match the model's holder counts.
 
 use mempar_sim::{CoherenceProtocol, DataSource, LineState, Protocol};
@@ -39,6 +44,15 @@ fn check_invariants(protocol: Protocol, proto: &dyn CoherenceProtocol, model: &M
         );
         let holders = procs.iter().filter(|&&s| s != LineState::Invalid).count();
         for (p, &s) in procs.iter().enumerate() {
+            let forbidden = match protocol {
+                Protocol::Directory => matches!(s, LineState::Owned | LineState::Exclusive),
+                Protocol::Mesi => s == LineState::Owned,
+                Protocol::Moesi | Protocol::Dragon => false,
+            };
+            prop_assert!(
+                !forbidden,
+                "{protocol} step {step}: proc {p} holds line {line} {s:?}"
+            );
             if matches!(s, LineState::Modified | LineState::Exclusive) {
                 prop_assert_eq!(
                     holders,
@@ -170,6 +184,13 @@ fn drive(protocol: Protocol, ops: &[(u8, usize, u64)]) {
                         model[line as usize][proc] = LineState::Modified;
                     }
                     continue;
+                }
+                if pre[proc] != LineState::Invalid {
+                    prop_assert!(
+                        proto.upgradeable(pre[proc]),
+                        "{protocol} step {step}: write to a held {:?} copy is neither a hit nor upgradeable",
+                        pre[proc]
+                    );
                 }
                 let out = proto.write_req(line, proc);
                 prop_assert!(
