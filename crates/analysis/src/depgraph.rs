@@ -357,7 +357,10 @@ mod tests {
         let sum = summarize_recurrences(&coll);
         // Only the cache-line self-recurrence on a[j,i].
         assert_eq!(sum.recurrences.len(), 1);
+        assert!(sum.alpha > 0.0);
         assert!(!sum.has_address_recurrence);
+        // The gather is an irregular leading reference.
+        assert!(coll.leading().any(|r| r.irregular));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Quick engine-throughput probe: ops/sec for the tree-walking
-//! interpreter vs the bytecode VM on each workload, without criterion's
-//! statistics overhead. Used to guide VM optimization; the pinned
-//! numbers live in `benches/engine.rs` and `BENCH_sim.json`.
+//! interpreter vs the bytecode VM on each workload. Used to guide VM
+//! optimization; the recorded numbers live in `BENCH_sim.json`.
 
 use std::time::Instant;
 

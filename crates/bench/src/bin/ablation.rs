@@ -14,7 +14,7 @@ use mempar::{
     machine_summary, profile_miss_rates, run_pair_with, run_program_with, MachineConfig,
     PairOptions, SimOptions,
 };
-use mempar_bench::{parse_args_unobserved, run_matrix};
+use mempar_bench::{parse_args, run_matrix, Reads};
 use mempar_stats::{format_rows, Row};
 use mempar_transform::{
     cluster_program, inner_unroll, innermost_loops, insert_prefetches, schedule_balanced,
@@ -23,7 +23,7 @@ use mempar_transform::{
 use mempar_workloads::{erlebacher, latbench, mp3d, ErlebacherParams, LatbenchParams, Mp3dParams};
 
 fn main() {
-    let args = parse_args_unobserved();
+    let args = parse_args(Reads::NONE);
     let opts = args.sim_options();
     mshr_sweep(args.scale, args.threads, opts);
     window_sweep(args.scale, args.threads, opts);

@@ -26,8 +26,8 @@
 use mempar::{measure_locality, sim_reuse_profiler};
 use mempar_analysis::Locality;
 use mempar_bench::{
-    bench_sim_json, log_enabled, parse_args_unobserved, timed, FrontendBenchRecord,
-    LocalityBenchRecord, LogLevel, SimBenchRecord, TuneBenchRecord,
+    bench_sim_json, log_enabled, parse_args, timed, FrontendBenchRecord, LocalityBenchRecord,
+    LogLevel, Reads, SimBenchRecord, TuneBenchRecord,
 };
 use mempar_ir::{BytecodeProgram, Interp, Vm};
 use mempar_sim::{
@@ -38,7 +38,7 @@ use mempar_tune::{tune_workload, TuneOptions, Tuner};
 use mempar_workloads::App;
 
 fn main() {
-    let args = parse_args_unobserved();
+    let args = parse_args(Reads::NONE);
     // Latbench's pointer chase is the headline (window-full dependent
     // misses — the best case for event stepping); Erlebacher and FFT cover a
     // regular uniprocessor stream and a barrier-synchronized

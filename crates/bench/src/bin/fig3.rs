@@ -10,12 +10,15 @@
 
 use mempar_bench::{
     parse_args, run_app, run_matrix, simulated_config, summarize_pair, write_locality_outputs,
-    write_observation_outputs,
+    write_observation_outputs, Reads,
 };
 use mempar_stats::{format_breakdown_table, render_breakdown_bars};
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(Reads {
+        mode: true,
+        ..Reads::PAIRS
+    });
     let mode = if args.mode.is_empty() {
         "up".to_string()
     } else {
@@ -45,8 +48,9 @@ fn main() {
     // Fan the applications across worker threads; results are collected
     // in application order, so stdout is identical at any thread count.
     let results = run_matrix(args.threads, &apps, |&app| {
-        let cfg = simulated_config(app, args.scale, mp, ghz);
-        run_app(app, &cfg, args.scale, args.pair_options())
+        let w = app.build(args.scale);
+        let cfg = simulated_config(&w, args.scale, mp, ghz);
+        run_app(app, &w, &cfg, args.pair_options())
     });
     let mut entries = Vec::new();
     let mut reductions = Vec::new();

@@ -8,20 +8,21 @@
 
 use mempar_bench::{
     parse_args, run_app, run_matrix, simulated_config, write_locality_outputs,
-    write_observation_outputs,
+    write_observation_outputs, Reads,
 };
 use mempar_stats::{format_occupancy_curves, render_occupancy_chart};
 use mempar_workloads::App;
 
 fn main() {
-    let mut args = parse_args();
-    if args.apps.len() == 7 {
-        // Default: the paper's two extreme applications.
-        args.apps = vec![App::Ocean, App::Lu];
-    }
+    // Default: the paper's two extreme applications.
+    let args = parse_args(Reads {
+        apps: Some(&[App::Ocean, App::Lu]),
+        ..Reads::PAIRS
+    });
     let results = run_matrix(args.threads, &args.apps, |&app| {
-        let cfg = simulated_config(app, args.scale, true, false);
-        run_app(app, &cfg, args.scale, args.pair_options())
+        let w = app.build(args.scale);
+        let cfg = simulated_config(&w, args.scale, true, false);
+        run_app(app, &w, &cfg, args.pair_options())
     });
     let mut entries = Vec::new();
     for (&app, out) in args.apps.iter().zip(&results) {

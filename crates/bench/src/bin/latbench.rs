@@ -4,12 +4,17 @@
 //! (171 ns → 316 ns) and bus/memory-bank utilization (> 85 % clustered).
 
 use mempar::{run_pair_with, MachineConfig, PairOptions};
-use mempar_bench::{parse_args, run_matrix, write_locality_outputs, write_observation_outputs};
+use mempar_bench::{
+    parse_args, run_matrix, write_locality_outputs, write_observation_outputs, Reads,
+};
 use mempar_stats::{format_rows, Row};
 use mempar_workloads::{latbench, LatbenchParams};
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(Reads {
+        apps: None,
+        ..Reads::PAIRS
+    });
     let params = LatbenchParams::scaled(args.scale);
     println!(
         "Latbench: {} chains x {} derefs, pool {} KB",

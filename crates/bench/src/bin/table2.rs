@@ -10,13 +10,13 @@
 use mempar::{calibrate_locality, run_pair_with, Locality};
 use mempar_bench::{
     log_enabled, parse_args, run_matrix, simulated_config, write_locality_outputs,
-    write_observation_outputs, LogLevel,
+    write_observation_outputs, LogLevel, Reads,
 };
 use mempar_stats::{format_rows, Row};
 use mempar_workloads::App;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(Reads::PAIRS);
     // Building each workload materializes its (scaled) input data, so
     // even this catalog listing benefits from the worker pool.
     let apps = App::all();
@@ -61,7 +61,7 @@ fn main() {
                 eprintln!("[{}] measured-locality calibration...", app.name());
             }
             let w = app.build(args.scale);
-            let cfg = simulated_config(app, args.scale, false, false);
+            let cfg = simulated_config(&w, args.scale, false, false);
             calibrate_locality(&w, &cfg).1
         });
         let entries: Vec<(&str, &mempar::LocalityArtifacts)> = args
@@ -82,7 +82,7 @@ fn main() {
                 eprintln!("[{}] observed base-vs-clustered run...", app.name());
             }
             let w = app.build(args.scale);
-            let cfg = simulated_config(app, args.scale, false, false);
+            let cfg = simulated_config(&w, args.scale, false, false);
             run_pair_with(&w, &cfg, args.pair_options())
         });
         write_observation_outputs(&args, &outcomes);

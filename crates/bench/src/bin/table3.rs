@@ -4,13 +4,13 @@
 
 use mempar::MachineConfig;
 use mempar_bench::{
-    parse_args, run_app, run_matrix, write_locality_outputs, write_observation_outputs,
+    parse_args, run_app, run_matrix, write_locality_outputs, write_observation_outputs, Reads,
 };
 use mempar_stats::{format_rows, Row};
 use mempar_workloads::App;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(Reads::PAIRS);
     // Paper values for reference (mp, up); N/A encoded as NaN.
     let paper: &[(&str, f64, f64)] = &[
         ("Em3d", 9.2, 13.0),
@@ -33,7 +33,7 @@ fn main() {
     }
     let mut results = run_matrix(args.threads, &jobs, |&(app, mp)| {
         let cfg = MachineConfig::exemplar(if mp { 8 } else { 1 });
-        run_app(app, &cfg, args.scale, args.pair_options())
+        run_app(app, &app.build(args.scale), &cfg, args.pair_options())
     });
     let mut rows = Vec::new();
     for &app in &args.apps {

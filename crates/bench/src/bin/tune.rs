@@ -16,13 +16,17 @@
 //! ```
 
 use mempar::MachineConfig;
-use mempar_bench::{log_enabled, parse_args, scaled_l2, timed, LogLevel};
+use mempar_bench::{log_enabled, parse_args, scaled_l2, timed, LogLevel, Reads};
 use mempar_obs::{escape_json, MetricsRegistry};
 use mempar_tune::{export_metrics, tune_trace_json, tune_workload, TuneOptions, Tuner};
 use mempar_workloads::App;
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(Reads {
+        mode: true,
+        procs: true,
+        ..Reads::PAIRS
+    });
     let mode = if args.mode.is_empty() {
         "up".to_string()
     } else {

@@ -15,7 +15,9 @@
 //! | `ablation` | Design-choice ablations (window/MSHR/degree sweeps) |
 //!
 //! All binaries accept `--scale <f>` (default 0.1) to size the inputs as
-//! a fraction of Table 2's, and `--apps a,b,c` to restrict the set.
+//! a fraction of Table 2's; those that select applications accept
+//! `--apps a,b,c` to restrict the set. A flag a binary does not read
+//! exits 2 (see [`Reads`]).
 
 #![warn(missing_docs)]
 
@@ -28,7 +30,7 @@ use mempar::{
 };
 use mempar_obs::escape_json;
 use mempar_stats::MshrOccupancy;
-use mempar_workloads::App;
+use mempar_workloads::{App, Workload};
 
 /// Harness log verbosity. Progress lines go to stderr at `Info` and
 /// above; warnings (e.g. output mismatches) are always printed.
@@ -163,8 +165,8 @@ pub fn usage() -> String {
          \n\
          \x20 --scale <f>        input-size fraction of the paper's Table 2 sizes (default 0.1)\n\
          \x20 --apps <list>      comma-separated subset of: {}\n\
-         \x20 --mode <m>         binary-specific mode string (fig3: up|mp|up-1ghz|mp-1ghz)\n\
-         \x20 --procs <n>        override processor count (0 = each workload's Table 2 count)\n\
+         \x20 --mode <m>         binary-specific mode string (fig3: up|mp|up-1ghz|mp-1ghz; tune: up|mp)\n\
+         \x20 --procs <n>        override processor count (tune; 0 = each workload's Table 2 count)\n\
          \x20 --threads <n>      worker threads for the experiment matrix (0 = all cores)\n\
          \x20 --engine <e>       functional engine: bytecode (default, fast) | interp (reference)\n\
          \x20 --stepper <s>      clock driver: event (default, fast) | strict (reference);\n\
@@ -212,16 +214,53 @@ fn log_level_from_env() -> Option<LogLevel> {
     }
 }
 
-/// Parses the shared harness flags (`--scale`, `--apps`, `--mode`,
-/// `--procs`, `--threads`, the observability outputs `--trace-out` /
-/// `--metrics-out` / `--profile-refs`, and `--quiet`) from the process
-/// arguments, honoring `MEMPAR_LOG` for the log level. Unknown flags and
-/// malformed values print the full usage string and exit with status 2.
-pub fn parse_args() -> HarnessArgs {
+/// The flags only some binaries read. Each binary passes its own set to
+/// [`parse_args`]; a flag outside it exits 2 with usage instead of being
+/// silently ignored.
+#[derive(Debug, Clone, Copy)]
+pub struct Reads {
+    /// `--apps`, with the binary's default selection; `None` rejects it.
+    pub apps: Option<&'static [App]>,
+    /// `--mode`.
+    pub mode: bool,
+    /// `--procs`.
+    pub procs: bool,
+    /// `--trace-out`, `--metrics-out` and `--profile-refs`.
+    pub observation: bool,
+}
+
+const APPLICATIONS: [App; 7] = App::applications();
+
+impl Reads {
+    /// A binary that runs traced base-vs-clustered pairs over the Table 2
+    /// applications.
+    pub const PAIRS: Reads = Reads {
+        apps: Some(&APPLICATIONS),
+        mode: false,
+        procs: false,
+        observation: true,
+    };
+    /// A binary that reads none of these flags.
+    pub const NONE: Reads = Reads {
+        apps: None,
+        mode: false,
+        procs: false,
+        observation: false,
+    };
+}
+
+/// Parses the harness flags from the process arguments, honoring
+/// `MEMPAR_LOG` for the log level. Unknown flags, flags outside `reads`
+/// and malformed values print the full usage string and exit with
+/// status 2.
+pub fn parse_args(reads: Reads) -> HarnessArgs {
     if let Some(level) = log_level_from_env() {
         set_log_level(level);
     }
     let mut out = HarnessArgs::default();
+    if let Some(apps) = reads.apps {
+        out.apps = apps.to_vec();
+    }
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut take = || {
@@ -234,8 +273,8 @@ pub fn parse_args() -> HarnessArgs {
                     .parse()
                     .unwrap_or_else(|_| usage_error("--scale expects a float"))
             }
-            "--mode" => out.mode = take(),
-            "--procs" => {
+            "--mode" if reads.mode => out.mode = take(),
+            "--procs" if reads.procs => {
                 out.procs = take()
                     .parse()
                     .unwrap_or_else(|_| usage_error("--procs expects an integer"))
@@ -245,7 +284,7 @@ pub fn parse_args() -> HarnessArgs {
                     .parse()
                     .unwrap_or_else(|_| usage_error("--threads expects an integer"))
             }
-            "--apps" => {
+            "--apps" if reads.apps.is_some() => {
                 let list = take();
                 out.apps = list
                     .split(',')
@@ -257,6 +296,9 @@ pub fn parse_args() -> HarnessArgs {
                     })
                     .collect();
             }
+            "--mode" | "--procs" | "--apps" => {
+                usage_error(&format!("{flag} is not supported: this binary ignores it"))
+            }
             "--engine" => out.engine = take().parse().unwrap_or_else(|e: String| usage_error(&e)),
             "--stepper" => out.stepper = take().parse().unwrap_or_else(|e: String| usage_error(&e)),
             "--protocol" => {
@@ -266,6 +308,11 @@ pub fn parse_args() -> HarnessArgs {
                 out.locality = take().parse().unwrap_or_else(|e: String| usage_error(&e))
             }
             "--reuse-out" => out.reuse_out = Some(take()),
+            "--trace-out" | "--metrics-out" | "--profile-refs" if !reads.observation => {
+                usage_error(&format!(
+                    "{flag} is not supported: this binary runs no traced pair"
+                ))
+            }
             "--trace-out" => out.trace_out = Some(take()),
             "--metrics-out" => out.metrics_out = Some(take()),
             "--profile-refs" => out.profile_refs = true,
@@ -284,20 +331,6 @@ pub fn parse_args() -> HarnessArgs {
         usage_error("--reuse-out requires --locality measured");
     }
     out
-}
-
-/// [`parse_args`] for binaries that run no traced pair: the
-/// observability flags would have nothing to export, so they are an
-/// argument error (exit 2) rather than silently ignored.
-pub fn parse_args_unobserved() -> HarnessArgs {
-    let args = parse_args();
-    if args.wants_observation() {
-        usage_error(
-            "--trace-out, --metrics-out and --profile-refs are not supported: \
-             this binary runs no traced pair",
-        );
-    }
-    args
 }
 
 /// Fans the `jobs` across a thread pool of `threads` workers (0 = all
@@ -320,10 +353,9 @@ where
     pool.run_indexed(jobs.len(), |i| run(&jobs[i]))
 }
 
-/// Runs one application base-vs-clustered on the machine `cfg` at
-/// `scale` under `opts`, printing a progress line.
-pub fn run_app(app: App, cfg: &MachineConfig, scale: f64, opts: PairOptions) -> PairOutcome {
-    let w = app.build(scale);
+/// Runs one application's built workload `w` base-vs-clustered on the
+/// machine `cfg` under `opts`, printing a progress line.
+pub fn run_app(app: App, w: &Workload, cfg: &MachineConfig, opts: PairOptions) -> PairOutcome {
     if log_enabled(LogLevel::Info) {
         eprintln!(
             "[{}] {} on {} ({} procs)...",
@@ -333,7 +365,7 @@ pub fn run_app(app: App, cfg: &MachineConfig, scale: f64, opts: PairOptions) -> 
             cfg.nprocs
         );
     }
-    let out = run_pair_with(&w, cfg, opts);
+    let out = run_pair_with(w, cfg, opts);
     if !out.pair.outputs_match {
         eprintln!(
             "WARNING: {} outputs differ between base and clustered!",
@@ -469,9 +501,9 @@ pub fn write_locality_outputs(args: &HarnessArgs, entries: &[(&str, &LocalityArt
     }
 }
 
-/// Machine for the simulated uni/multiprocessor experiments (Table 1).
-pub fn simulated_config(app: App, scale: f64, mp: bool, ghz: bool) -> MachineConfig {
-    let w = app.build(scale);
+/// Machine for the simulated uni/multiprocessor experiments (Table 1)
+/// on workload `w`, built at `scale`.
+pub fn simulated_config(w: &Workload, scale: f64, mp: bool, ghz: bool) -> MachineConfig {
     // The Woo et al. methodology scales caches with the working set; at
     // reduced input scales, scale the L2 similarly (min 32 KB).
     let l2 = scaled_l2(w.l2_bytes, scale);

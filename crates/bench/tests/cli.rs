@@ -409,3 +409,57 @@ fn mempar_log_env_sets_level_and_flag_wins() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn binaries_reject_flags_they_ignore() {
+    let fig4 = env!("CARGO_BIN_EXE_fig4");
+    let apps = ["--apps", "fft"];
+    // `--mode` is read only by fig3 and tune, `--procs` only by tune, and
+    // `--apps` by every binary that selects applications.
+    for (bin, args, flag) in [
+        (fig4, &["--mode", "up", "--procs", "2"][..], "--mode"),
+        (fig4, &["--procs", "2"], "--procs"),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            &["--mode", "bogus", "--procs", "4"],
+            "--mode",
+        ),
+        (env!("CARGO_BIN_EXE_table3"), &["--procs", "8"], "--procs"),
+        (env!("CARGO_BIN_EXE_latbench"), &apps, "--apps"),
+        (env!("CARGO_BIN_EXE_table1"), &apps, "--apps"),
+        (env!("CARGO_BIN_EXE_ablation"), &apps, "--apps"),
+        (env!("CARGO_BIN_EXE_benchsim"), &apps, "--apps"),
+    ] {
+        let out = Command::new(bin)
+            .env_remove("MEMPAR_LOG")
+            .args(args)
+            .output()
+            .expect("spawn harness binary");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("{flag} is not supported")) && stderr.contains("usage:"),
+            "{bin} {args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn fig4_runs_every_listed_app() {
+    // Listing all seven applications is a selection like any other, not
+    // the default (Ocean and LU).
+    let out = Command::new(env!("CARGO_BIN_EXE_fig4"))
+        .env_remove("MEMPAR_LOG")
+        .args(["--apps", "Em3d,Erlebacher,FFT,LU,Mp3d,MST,Ocean"])
+        .args(["--scale", "0.01", "-q"])
+        .output()
+        .expect("spawn fig4");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for app in ["Em3d", "Erlebacher", "FFT", "LU", "Mp3d", "MST", "Ocean"] {
+        assert!(
+            stdout.contains(&format!("{app}: mean read MSHR occupancy")),
+            "fig4 skipped {app}:\n{stdout}"
+        );
+    }
+}

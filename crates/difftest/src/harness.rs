@@ -27,8 +27,8 @@ use crate::spec::{Built, ProgSpec};
 use mempar::{machine_summary, profile_miss_rates, MachineConfig, MissProfile};
 use mempar_ir::{run_parallel_functional, run_single, Program, SimMem, Stmt};
 use mempar_transform::{
-    cluster_program, fuse_next, inner_unroll, insert_prefetches, interchange_with, scalar_replace,
-    strip_mine, unroll_and_jam_with, Legality, NestPath, TransformError,
+    cluster_program, inner_unroll, insert_prefetches, interchange_with, scalar_replace, strip_mine,
+    unroll_and_jam_with, Legality, NestPath, TransformError,
 };
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -43,8 +43,6 @@ pub enum PassKind {
     StripMine(u32),
     /// In-place inner unrolling (always order-preserving).
     InnerUnroll(u32),
-    /// Fusion with the next sibling loop.
-    FuseNext,
     /// Scalar replacement of invariant references.
     ScalarReplace,
     /// Software prefetch insertion (functional no-op).
@@ -60,7 +58,6 @@ impl PassKind {
             PassKind::Interchange,
             PassKind::StripMine(4),
             PassKind::InnerUnroll(2),
-            PassKind::FuseNext,
             PassKind::ScalarReplace,
             PassKind::Prefetch,
         ]
@@ -80,7 +77,6 @@ impl PassKind {
             PassKind::Interchange => "interchange",
             PassKind::StripMine(_) => "strip",
             PassKind::InnerUnroll(_) => "unroll",
-            PassKind::FuseNext => "fuse",
             PassKind::ScalarReplace => "scalrep",
             PassKind::Prefetch => "prefetch",
         }
@@ -94,7 +90,6 @@ impl std::fmt::Display for PassKind {
             PassKind::Interchange => write!(f, "interchange"),
             PassKind::StripMine(s) => write!(f, "strip(s={s})"),
             PassKind::InnerUnroll(d) => write!(f, "unroll(d={d})"),
-            PassKind::FuseNext => write!(f, "fuse"),
             PassKind::ScalarReplace => write!(f, "scalrep"),
             PassKind::Prefetch => write!(f, "prefetch"),
         }
@@ -256,7 +251,6 @@ pub fn apply_pass(
         PassKind::Interchange => interchange_with(prog, path, legality),
         PassKind::StripMine(s) => strip_mine(prog, path, s).map(|_| ()),
         PassKind::InnerUnroll(d) => inner_unroll(prog, path, d).map(|_| ()),
-        PassKind::FuseNext => fuse_next(prog, path),
         PassKind::ScalarReplace => scalar_replace(prog, path).map(|_| ()),
         PassKind::Prefetch => insert_prefetches(prog, path, 16, 64, profile).map(|_| ()),
     }

@@ -8,7 +8,7 @@
 //! requester installs. Swapping the protocol never changes functional
 //! results or the dynamic-op stream (functional execution happens at
 //! fetch, against [`SimMem`](mempar_ir::SimMem)); it only moves cycles.
-//! The cross-protocol conformance suite (`tests/protocol_cube.rs`)
+//! The cross-protocol conformance suite (`tests/oracle_matrix.rs`)
 //! asserts exactly that.
 //!
 //! Two state machines serve the four [`Protocol`] values:

@@ -437,7 +437,9 @@ fn ref_varies_with(r: &mempar_ir::ArrayRef, v: mempar_ir::VarId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mempar_ir::{run_single, ArrayData, ProgramBuilder, SimMem};
+    use mempar_ir::{
+        run_single, AffineExpr, ArrayData, ArrayRef, Dist, Index, ProgramBuilder, SimMem,
+    };
 
     fn fig2a(n: usize) -> (Program, mempar_ir::ArrayId, mempar_ir::ArrayId) {
         let mut b = ProgramBuilder::new("fig2a");
@@ -525,6 +527,54 @@ mod tests {
         let report = cluster_program(&mut p, &MachineSummary::base(), &MissProfile::pessimistic());
         assert!(!report.any_transformed(), "{}", report.summary());
         assert_eq!(p, before);
+    }
+
+    #[test]
+    fn independent_gathers_untouched() {
+        // The paper's §3.1 sparse-matrix loop: one row's gathers
+        // b[colidx[j,i]] are mutually independent, so a 64-entry window
+        // already overlaps them (f >= lp) and the driver declines.
+        let (rows, nnz) = (512, 16);
+        let mut b = ProgramBuilder::new("spmv");
+        let colidx = b.array_i64("colidx", &[rows, nnz]);
+        let val = b.array_f64("val", &[rows, nnz]);
+        let dense = b.array_f64("b", &[1 << 16]);
+        let sum = b.array_f64("sum", &[rows]);
+        let acc = b.scalar_f64("acc", 0.0);
+        let j = b.var("j");
+        let i = b.var("i");
+        b.for_dist(j, 0, rows as i64, Dist::Block, |b| {
+            let zero = b.constf(0.0);
+            b.assign_scalar(acc, zero);
+            b.for_const(i, 0, nnz as i64, |b| {
+                let v = b.load(val, &[b.idx(j), b.idx(i)]);
+                let idx = ArrayRef::new(
+                    colidx,
+                    vec![
+                        Index::affine(AffineExpr::var(j)),
+                        Index::affine(AffineExpr::var(i)),
+                    ],
+                );
+                let gathered = b.load_ref(ArrayRef::new(dense, vec![Index::indirect(idx)]));
+                let prod = b.mul(v, gathered);
+                let a0 = b.scalar(acc);
+                let e = b.add(a0, prod);
+                b.assign_scalar(acc, e);
+            });
+            let fin = b.scalar(acc);
+            b.assign_array(sum, &[b.idx(j)], fin);
+        });
+        let mut p = b.finish();
+        let report = cluster_program(&mut p, &MachineSummary::base(), &MissProfile::pessimistic());
+        assert_eq!(report.decisions.len(), 1);
+        assert!(
+            report
+                .decisions
+                .iter()
+                .all(|d| d.uaj_degree == 1 && d.inner_unroll == 1),
+            "f >= lp: nothing to do\n{}",
+            report.summary()
+        );
     }
 
     #[test]

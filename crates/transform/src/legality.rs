@@ -369,46 +369,6 @@ fn bound_scalars(b: &Bound, out: &mut Vec<ScalarId>) {
     }
 }
 
-/// Every scalar accessed anywhere in `body` — expression reads,
-/// assignment targets, dynamic indices and loop bounds. Fusion legality
-/// needs the full access set of each body, not just its assignments.
-pub fn touched_scalars(body: &[Stmt]) -> Vec<ScalarId> {
-    let mut out = Vec::new();
-    fn walk(body: &[Stmt], out: &mut Vec<ScalarId>) {
-        for s in body {
-            match s {
-                Stmt::AssignArray { lhs, rhs } => {
-                    ref_scalars(lhs, out);
-                    expr_scalars(rhs, out);
-                }
-                Stmt::AssignScalar { lhs, rhs } => {
-                    out.push(*lhs);
-                    expr_scalars(rhs, out);
-                }
-                Stmt::Prefetch { target } => ref_scalars(target, out),
-                Stmt::Loop(l) => {
-                    bound_scalars(&l.lo, out);
-                    bound_scalars(&l.hi, out);
-                    walk(&l.body, out);
-                }
-                Stmt::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(then_branch, out);
-                    walk(else_branch, out);
-                }
-                Stmt::Barrier | Stmt::FlagSet { .. } | Stmt::FlagWait { .. } => {}
-            }
-        }
-    }
-    walk(body, &mut out);
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 /// Scalar-dataflow precondition for jamming.
 ///
 /// Private scalars (defined before use) are renamed per copy and carry no

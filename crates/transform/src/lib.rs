@@ -52,7 +52,6 @@
 #![warn(missing_debug_implementations)]
 
 mod driver;
-mod fuse;
 mod interchange;
 mod legality;
 mod nest;
@@ -63,7 +62,6 @@ mod subst;
 mod unroll;
 
 pub use driver::{cluster_program, ClusterReport, NestDecision};
-pub use fuse::{fuse_adjacent_loops, fuse_next};
 pub use interchange::{interchange, interchange_postlude, interchange_with, strip_mine};
 pub use legality::{
     all_refs, can_interchange, can_unroll_and_jam, collect_ranges, pair_dependence, PairDep,

@@ -47,7 +47,7 @@ impl App {
     }
 
     /// The scientific applications of Figure 3 (everything but Latbench).
-    pub fn applications() -> [App; 7] {
+    pub const fn applications() -> [App; 7] {
         [
             App::Em3d,
             App::Erlebacher,

@@ -15,7 +15,6 @@
 //! | [`mp3d`] | SPLASH | no recurrences, window-constrained body |
 //! | [`mst`] | Olden | variable-length chain chases |
 //! | [`ocean`] | SPLASH-2 | stencils with natural base clustering |
-//! | [`spmv`] | the paper's §3.1 sparse-matrix example | cache-line recurrence feeding an irregular gather |
 //!
 //! The base programs are *untransformed*; the clustered variants are
 //! produced mechanically by `mempar_transform::cluster_program`, exactly
@@ -33,7 +32,6 @@ mod lu;
 mod mp3d;
 mod mst;
 mod ocean;
-mod spmv;
 mod workload;
 
 pub use catalog::App;
@@ -45,5 +43,4 @@ pub use lu::{lu, LuParams};
 pub use mp3d::{mp3d, Mp3dParams};
 pub use mst::{mst, MstParams};
 pub use ocean::{ocean, OceanParams};
-pub use spmv::{spmv, SpmvParams};
 pub use workload::{scaled_dim, Workload};

@@ -1,82 +1,11 @@
-//! End-to-end tests of the two extensions the paper sketches:
-//! loop fusion for unnested recurrences (Conclusions) and software
+//! End-to-end tests of the extension the paper sketches: software
 //! prefetching alongside clustering (Section 1 / TR 9910).
 
 use mempar::{machine_summary, profile_miss_rates, run_program, MachineConfig};
-use mempar_analysis::{analyze_inner_loop, MissProfile};
-use mempar_ir::{run_single, ArrayData, ProgramBuilder, SimMem, Stmt};
-use mempar_transform::{
-    cluster_program, fuse_adjacent_loops, innermost_loops, insert_prefetches, loop_at,
-};
+use mempar_analysis::MissProfile;
+use mempar_ir::{run_single, Stmt};
+use mempar_transform::{cluster_program, innermost_loops, insert_prefetches};
 use mempar_workloads::{erlebacher, latbench, ErlebacherParams, LatbenchParams};
-
-/// Fusing two unnested streaming loops doubles the miss streams per
-/// window — `f` grows — and the fused program runs faster on the
-/// simulated machine.
-#[test]
-fn fusion_improves_unnested_recurrences() {
-    let n = 1 << 15; // two 256 KB streams vs a 64 KB L2
-    let mut b = ProgramBuilder::new("unnested");
-    let a = b.array_f64("a", &[n]);
-    let c = b.array_f64("c", &[n]);
-    let oa = b.array_f64("oa", &[1]);
-    let oc = b.array_f64("oc", &[1]);
-    let s1 = b.scalar_f64("s1", 0.0);
-    let s2 = b.scalar_f64("s2", 0.0);
-    let i = b.var("i");
-    let j = b.var("j");
-    b.for_const(i, 0, n as i64, |b| {
-        let v = b.load(a, &[b.idx(i)]);
-        let acc = b.scalar(s1);
-        let e = b.add(acc, v);
-        b.assign_scalar(s1, e);
-    });
-    b.for_const(j, 0, n as i64, |b| {
-        let v = b.load(c, &[b.idx(j)]);
-        let acc = b.scalar(s2);
-        let e = b.add(acc, v);
-        b.assign_scalar(s2, e);
-    });
-    let v1 = b.scalar(s1);
-    b.assign_array(oa, &[b.idx_e(mempar_ir::AffineExpr::konst(0))], v1);
-    let v2 = b.scalar(s2);
-    b.assign_array(oc, &[b.idx_e(mempar_ir::AffineExpr::konst(0))], v2);
-    let base = b.finish();
-
-    let cfg = MachineConfig::base_simulated(1, 64 * 1024);
-    let m = machine_summary(&cfg);
-
-    // Analysis before/after: f doubles.
-    let f_of = |p: &mempar_ir::Program| {
-        let nest = innermost_loops(p)[0].clone();
-        let l = loop_at(p, &nest).expect("loop");
-        analyze_inner_loop(p, &l.body, l.var, &m, &MissProfile::pessimistic()).f
-    };
-    let f_before = f_of(&base);
-    let mut fused = base.clone();
-    assert_eq!(fuse_adjacent_loops(&mut fused), 1);
-    let f_after = f_of(&fused);
-    assert!(f_after > f_before, "f must grow: {f_before} -> {f_after}");
-
-    // Semantics preserved and time reduced.
-    let data_a = ArrayData::F64((0..n).map(|x| (x % 7) as f64).collect());
-    let data_c = ArrayData::F64((0..n).map(|x| (x % 11) as f64).collect());
-    let run = |p: &mempar_ir::Program| {
-        let mut mem = SimMem::new(p, 1);
-        mem.set_array(a, data_a.clone());
-        mem.set_array(c, data_c.clone());
-        let r = run_program(p, &mut mem, &cfg);
-        (mem.read_f64(oa), mem.read_f64(oc), r.cycles)
-    };
-    let (ba, bc, base_cycles) = run(&base);
-    let (fa, fc, fused_cycles) = run(&fused);
-    assert_eq!(ba, fa);
-    assert_eq!(bc, fc);
-    assert!(
-        fused_cycles < base_cycles,
-        "fusion should overlap the two streams: {base_cycles} -> {fused_cycles}"
-    );
-}
 
 /// Prefetching helps a regular workload, clustering helps more here, and
 /// the combination is at least as good as prefetching alone.
