@@ -23,7 +23,10 @@ use mempar_transform::{
 use mempar_workloads::{erlebacher, latbench, mp3d, ErlebacherParams, LatbenchParams, Mp3dParams};
 
 fn main() {
-    let args = parse_args(Reads::NONE);
+    let args = parse_args(Reads {
+        sim: true,
+        ..Reads::NONE
+    });
     let opts = args.sim_options();
     mshr_sweep(args.scale, args.threads, opts);
     window_sweep(args.scale, args.threads, opts);

@@ -8,8 +8,10 @@
 //! each workload's Table 2 processor count).
 //!
 //! The search trace is observable: `--metrics-out` snapshots the
-//! `tune.*` counters per workload, `--trace-out` writes per-candidate
-//! scoring slices as a Chrome/Perfetto trace.
+//! `tune.*` counters per workload (the memo counters count that
+//! workload's own lookups, though one memo serves every workload), and
+//! `--trace-out` writes per-candidate scoring slices as a
+//! Chrome/Perfetto trace.
 //!
 //! ```text
 //! cargo run --release -p mempar-bench --bin tune -- --scale 0.1 --apps latbench,fft
@@ -25,6 +27,8 @@ fn main() {
     let args = parse_args(Reads {
         mode: true,
         procs: true,
+        reuse_out: false,
+        profile_refs: false,
         ..Reads::PAIRS
     });
     let mode = if args.mode.is_empty() {
@@ -55,6 +59,8 @@ fn main() {
 
     let mut reports = Vec::new();
     let mut beat_default = 0usize;
+    // The shared memo's running totals at the previous report.
+    let mut memo_seen = (0, 0);
     for &app in &apps {
         let w = app.build(args.scale);
         let nprocs = if args.procs > 0 {
@@ -68,7 +74,13 @@ fn main() {
         if log_enabled(LogLevel::Info) {
             eprintln!("[tune] {} on {} ({nprocs} procs)...", w.name, cfg.name);
         }
-        let ((_, report, _), secs) = timed(|| tune_workload(&w, &cfg, &tuner, args.locality));
+        let ((_, mut report, _), secs) = timed(|| tune_workload(&w, &cfg, &tuner, args.locality));
+        // Report this workload's own memo traffic, not the running
+        // totals of the memo every workload shares.
+        let totals = (report.stats.memo_hits, report.stats.memo_misses);
+        report.stats.memo_hits -= memo_seen.0;
+        report.stats.memo_misses -= memo_seen.1;
+        memo_seen = totals;
         assert!(
             report.oracle_failures.is_empty(),
             "{}: tuner scored a semantics-changing candidate: {:?}",

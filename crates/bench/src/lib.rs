@@ -225,8 +225,16 @@ pub struct Reads {
     pub mode: bool,
     /// `--procs`.
     pub procs: bool,
-    /// `--trace-out`, `--metrics-out` and `--profile-refs`.
+    /// `--engine`, `--stepper` and `--protocol`.
+    pub sim: bool,
+    /// `--locality`.
+    pub locality: bool,
+    /// `--reuse-out`.
+    pub reuse_out: bool,
+    /// `--trace-out` and `--metrics-out`.
     pub observation: bool,
+    /// `--profile-refs`.
+    pub profile_refs: bool,
 }
 
 const APPLICATIONS: [App; 7] = App::applications();
@@ -238,14 +246,22 @@ impl Reads {
         apps: Some(&APPLICATIONS),
         mode: false,
         procs: false,
+        sim: true,
+        locality: true,
+        reuse_out: true,
         observation: true,
+        profile_refs: true,
     };
     /// A binary that reads none of these flags.
     pub const NONE: Reads = Reads {
         apps: None,
         mode: false,
         procs: false,
+        sim: false,
+        locality: false,
+        reuse_out: false,
         observation: false,
+        profile_refs: false,
     };
 }
 
@@ -296,26 +312,33 @@ pub fn parse_args(reads: Reads) -> HarnessArgs {
                     })
                     .collect();
             }
-            "--mode" | "--procs" | "--apps" => {
-                usage_error(&format!("{flag} is not supported: this binary ignores it"))
+            "--engine" if reads.sim => {
+                out.engine = take().parse().unwrap_or_else(|e: String| usage_error(&e))
             }
-            "--engine" => out.engine = take().parse().unwrap_or_else(|e: String| usage_error(&e)),
-            "--stepper" => out.stepper = take().parse().unwrap_or_else(|e: String| usage_error(&e)),
-            "--protocol" => {
+            "--stepper" if reads.sim => {
+                out.stepper = take().parse().unwrap_or_else(|e: String| usage_error(&e))
+            }
+            "--protocol" if reads.sim => {
                 out.protocol = take().parse().unwrap_or_else(|e: String| usage_error(&e))
             }
-            "--locality" => {
+            "--locality" if reads.locality => {
                 out.locality = take().parse().unwrap_or_else(|e: String| usage_error(&e))
             }
-            "--reuse-out" => out.reuse_out = Some(take()),
-            "--trace-out" | "--metrics-out" | "--profile-refs" if !reads.observation => {
+            "--reuse-out" if reads.reuse_out => out.reuse_out = Some(take()),
+            "--trace-out" | "--metrics-out" | "--profile-refs"
+                if !reads.observation && !reads.profile_refs =>
+            {
                 usage_error(&format!(
                     "{flag} is not supported: this binary runs no traced pair"
                 ))
             }
-            "--trace-out" => out.trace_out = Some(take()),
-            "--metrics-out" => out.metrics_out = Some(take()),
-            "--profile-refs" => out.profile_refs = true,
+            "--trace-out" if reads.observation => out.trace_out = Some(take()),
+            "--metrics-out" if reads.observation => out.metrics_out = Some(take()),
+            "--profile-refs" if reads.profile_refs => out.profile_refs = true,
+            "--mode" | "--procs" | "--apps" | "--engine" | "--stepper" | "--protocol"
+            | "--locality" | "--reuse-out" | "--trace-out" | "--metrics-out" | "--profile-refs" => {
+                usage_error(&format!("{flag} is not supported: this binary ignores it"))
+            }
             "--quiet" | "-q" => set_log_level(LogLevel::Quiet),
             "--help" | "-h" => {
                 println!("{}", usage());

@@ -302,6 +302,48 @@ fn tune_beats_base_and_exports_its_trace() {
 }
 
 #[test]
+fn tune_memo_counters_are_per_workload() {
+    // One tuner (and one score memo) serves every app, but each
+    // workload's memo counters must count only its own score calls:
+    // every scored candidate plus the base and default-driver programs.
+    let dir = std::env::temp_dir().join(format!("mempar-tune-memo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let metrics = dir.join("tune-metrics.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_tune"))
+        .env_remove("MEMPAR_LOG")
+        .args("--scale 0.02 --apps latbench,mst --threads 1 -q --metrics-out".split(' '))
+        .arg(&metrics)
+        .output()
+        .expect("spawn tune");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&metrics).expect("metrics written");
+    let counter = |run: &str, name: &str| -> u64 {
+        let key = format!("\"{name}\": {{\"type\": \"counter\", \"value\": ");
+        let at = run
+            .find(&key)
+            .unwrap_or_else(|| panic!("{name} missing: {run}"))
+            + key.len();
+        let digits: String = run[at..].chars().take_while(char::is_ascii_digit).collect();
+        digits.parse().expect("counter value")
+    };
+    let runs: Vec<&str> = json.split("{\"name\": ").skip(1).collect();
+    assert_eq!(runs.len(), 2, "one snapshot per app: {json}");
+    for run in runs {
+        assert_eq!(
+            counter(run, "tune.memo.hits") + counter(run, "tune.memo.misses"),
+            counter(run, "tune.scored") + 2,
+            "memo lookups must be this workload's own: {run}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn pair_binaries_honour_observation_flags() {
     let dir = std::env::temp_dir().join(format!("mempar-fig4-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
@@ -413,9 +455,15 @@ fn mempar_log_env_sets_level_and_flag_wins() {
 #[test]
 fn binaries_reject_flags_they_ignore() {
     let fig4 = env!("CARGO_BIN_EXE_fig4");
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    let ablation = env!("CARGO_BIN_EXE_ablation");
+    let benchsim = env!("CARGO_BIN_EXE_benchsim");
+    let tune = env!("CARGO_BIN_EXE_tune");
     let apps = ["--apps", "fft"];
-    // `--mode` is read only by fig3 and tune, `--procs` only by tune, and
-    // `--apps` by every binary that selects applications.
+    let reuse = ["--locality", "measured", "--reuse-out", "r.json"];
+    // `--mode` is read only by fig3 and tune, `--procs` only by tune,
+    // `--apps` by every binary that selects applications, and the first
+    // unread flag is the one named.
     for (bin, args, flag) in [
         (fig4, &["--mode", "up", "--procs", "2"][..], "--mode"),
         (fig4, &["--procs", "2"], "--procs"),
@@ -426,9 +474,31 @@ fn binaries_reject_flags_they_ignore() {
         ),
         (env!("CARGO_BIN_EXE_table3"), &["--procs", "8"], "--procs"),
         (env!("CARGO_BIN_EXE_latbench"), &apps, "--apps"),
-        (env!("CARGO_BIN_EXE_table1"), &apps, "--apps"),
-        (env!("CARGO_BIN_EXE_ablation"), &apps, "--apps"),
-        (env!("CARGO_BIN_EXE_benchsim"), &apps, "--apps"),
+        (table1, &apps, "--apps"),
+        (ablation, &apps, "--apps"),
+        (benchsim, &apps, "--apps"),
+        // Driver options reach only the binaries that simulate under
+        // them; benchsim runs its own fixed legs.
+        (
+            table1,
+            &["--protocol", "dragon", "--stepper", "strict"],
+            "--protocol",
+        ),
+        (table1, &["--stepper", "strict"], "--stepper"),
+        (table1, &["--engine", "interp"], "--engine"),
+        (table1, &["--locality", "measured"], "--locality"),
+        (
+            benchsim,
+            &["--protocol", "mesi", "--engine", "interp"],
+            "--protocol",
+        ),
+        (benchsim, &["--engine", "interp"], "--engine"),
+        // Only the pair binaries write a measured-locality report or
+        // print the reference profile.
+        (tune, &reuse, "--reuse-out"),
+        (ablation, &reuse, "--locality"),
+        (ablation, &reuse[2..], "--reuse-out"),
+        (tune, &["--profile-refs"], "--profile-refs"),
     ] {
         let out = Command::new(bin)
             .env_remove("MEMPAR_LOG")

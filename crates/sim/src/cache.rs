@@ -5,13 +5,16 @@ use crate::config::CacheParams;
 /// Coherence/validity state of a cached line.
 ///
 /// The tag array itself is protocol-agnostic: it stores whatever state
-/// the active [`CoherenceProtocol`](crate::CoherenceProtocol) installs.
-/// The full-map directory uses only `Invalid`/`Shared`/`Modified`;
-/// MESI/MOESI add `Exclusive`, MOESI and Dragon add `Owned` (Dragon's
-/// `Sm` maps onto `Owned`, its `Sc` onto `Shared`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// the [`Coherence`](crate::Coherence) machine installs. The full-map
+/// directory uses only `Invalid`/`Shared`/`Modified`; MESI, MOESI and
+/// Dragon add `Exclusive`, MOESI and Dragon add `Owned` (Dragon's `Sm`
+/// maps onto `Owned`, its `Sc` onto `Shared`). A write's path depends on
+/// the state alone, under every protocol: see [`LineState::write_hits`]
+/// and [`LineState::upgradeable`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LineState {
     /// Not present.
+    #[default]
     Invalid,
     /// Present, clean, possibly shared with other caches.
     Shared,
@@ -31,6 +34,20 @@ impl LineState {
     /// must be written back (memory is stale).
     pub fn is_dirty(self) -> bool {
         matches!(self, LineState::Modified | LineState::Owned)
+    }
+
+    /// Whether a write to a copy in this state completes without any
+    /// global transaction: `Modified`, or `Exclusive` upgraded silently
+    /// to `Modified`.
+    pub fn write_hits(self) -> bool {
+        matches!(self, LineState::Modified | LineState::Exclusive)
+    }
+
+    /// Whether a write to a copy in this state needs only permission (or,
+    /// in Dragon, only the broadcast), not data — the no-data upgrade
+    /// timing path.
+    pub fn upgradeable(self) -> bool {
+        matches!(self, LineState::Shared | LineState::Owned)
     }
 }
 
@@ -491,6 +508,15 @@ impl MshrFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_path_partitions_the_states() {
+        use LineState::*;
+        for s in [Invalid, Shared, Exclusive, Owned, Modified] {
+            let paths = [s == Invalid, s.write_hits(), s.upgradeable()];
+            assert_eq!(paths.iter().filter(|&&p| p).count(), 1, "{s:?}");
+        }
+    }
 
     fn small_cache() -> TagArray {
         TagArray::new(&CacheParams {

@@ -10,10 +10,12 @@
 //! * a two-level (or single-level) cache hierarchy with finite MSHRs and
 //!   same-line coalescing — the resource that bounds read-miss
 //!   clustering ([`MemSystem`]);
-//! * split-transaction buses, permutation/skew-interleaved memory banks,
-//!   a 2-D mesh and full-map directory coherence for CC-NUMA
-//!   configurations, or a shared-bus SMP mode for the Exemplar-like
-//!   machine.
+//! * split-transaction buses, permutation/skew-interleaved memory banks
+//!   and a 2-D mesh for CC-NUMA configurations, or a shared-bus SMP mode
+//!   for the Exemplar-like machine;
+//! * one coherence state machine ([`Coherence`]) that runs the paper's
+//!   full-map directory (MSI) or the snooping MESI, MOESI and Dragon
+//!   protocols, chosen per run by [`Protocol`].
 //!
 //! The entry point is [`run_program`], which executes a
 //! [`Program`](mempar_ir::Program) on a configured machine and returns a
@@ -52,7 +54,6 @@
 mod cache;
 mod config;
 mod core;
-mod directory;
 mod interconnect;
 mod linetable;
 mod memsys;
@@ -68,10 +69,9 @@ pub use config::{
     BusParams, CacheParams, FuParams, Interleave, MachineConfig, MemParams, NetParams, ProcParams,
     Topology,
 };
-pub use directory::Directory;
 pub use interconnect::{bank_of, Bus, MemoryBanks, Mesh};
 pub use memsys::{Access, MemSystem};
-pub use protocol::{CohTxn, CoherenceProtocol, DataSource, Protocol};
+pub use protocol::{CohTxn, Coherence, DataSource, Protocol};
 pub use resource::{Resource, ResourcePool};
 pub use sync::SyncState;
 pub use system::{

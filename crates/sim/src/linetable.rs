@@ -1,5 +1,5 @@
 //! A sharded, open-addressed hash table keyed by cache-line number —
-//! the storage behind every coherence state machine's per-line records.
+//! the storage behind the coherence state machine's per-line records.
 //!
 //! `std::collections::HashMap` served here through PR 8, but its SipHash
 //! hashing and bucket indirection dominated the directory's cost on

@@ -1,6 +1,6 @@
 //! The timed memory system: per-processor L1/L2 caches with MSHRs,
 //! split-transaction buses, interleaved memory banks, the mesh network
-//! and directory coherence.
+//! and the timing of coherence transactions.
 //!
 //! Timing uses the *resource-reservation timeline* approach: when a miss
 //! is issued, its whole path (bus request, directory, bank, data return,
@@ -20,7 +20,7 @@ use mempar_stats::{LatencyStat, MemCounters, MshrOccupancy, Utilization};
 use crate::cache::{LineState, MshrFile, MshrOutcome, TagArray};
 use crate::config::{MachineConfig, Topology};
 use crate::interconnect::{Bus, MemoryBanks, Mesh};
-use crate::protocol::{CohTxn, CoherenceProtocol, DataSource, Protocol};
+use crate::protocol::{CohTxn, Coherence, DataSource, Protocol};
 use crate::resource::Resource;
 
 /// Result of a timed cache access.
@@ -94,7 +94,7 @@ pub struct MemSystem {
     buses: Vec<Bus>,
     banks: Vec<MemoryBanks>,
     mesh: Mesh,
-    proto: Box<dyn CoherenceProtocol>,
+    proto: Coherence,
     /// Pooled coherence-transaction buffer, reused across every global
     /// transaction so the steady state allocates nothing (taken with
     /// `mem::take` around each protocol call, then put back).
@@ -187,7 +187,7 @@ impl MemSystem {
             buses,
             banks,
             mesh: Mesh::new(cfg.mesh_side(), &cfg.net),
-            proto: protocol.build(),
+            proto: Coherence::new(protocol),
             txn: CohTxn::default(),
             // Outstanding events are bounded by MSHR capacity: at most
             // one fill event per L1 MSHR and two per L2 MSHR (an
@@ -397,7 +397,7 @@ impl MemSystem {
         if l1_state != LineState::Invalid {
             // Presence in L1; exclusivity is tracked at the L2.
             let l2_state = self.l2[proc].tags.peek(line);
-            if !is_write || self.proto.write_hits(l2_state) {
+            if !is_write || l2_state.write_hits() {
                 if is_write && l2_state != LineState::Modified {
                     // Silent E -> M: ownership without a transaction.
                     self.l2[proc].tags.set_state(line, LineState::Modified);
@@ -421,7 +421,7 @@ impl MemSystem {
                 // "replays" at fill time.
                 if is_write {
                     let l2_state = self.l2[proc].tags.peek(line);
-                    if !self.proto.write_hits(l2_state) {
+                    if !l2_state.write_hits() {
                         return self.access_l2(proc, line, true, fill_at, now);
                     }
                     if l2_state != LineState::Modified {
@@ -494,7 +494,7 @@ impl MemSystem {
         {
             let peek = self.l2[proc].tags.peek(line);
             let would_hit = if is_write {
-                self.proto.write_hits(peek)
+                peek.write_hits()
             } else {
                 peek != LineState::Invalid
             };
@@ -509,7 +509,7 @@ impl MemSystem {
         let t_lookup = start + self.l2[proc].hit_latency;
         let state = self.l2[proc].tags.probe(line);
         let hit = if is_write {
-            self.proto.write_hits(state)
+            state.write_hits()
         } else {
             state != LineState::Invalid
         };
@@ -524,7 +524,7 @@ impl MemSystem {
                 l2_miss: false,
             };
         }
-        let upgrade = is_write && self.proto.upgradeable(state);
+        let upgrade = is_write && state.upgradeable();
         match self.l2[proc].mshrs.register(line, is_write) {
             MshrOutcome::Coalesced { fill_at } => {
                 self.counters[proc].coalesced += 1;

@@ -1,36 +1,33 @@
-//! Pluggable cache-coherence protocols.
+//! Cache-coherence protocols.
 //!
 //! The memory system ([`MemSystem`](crate::memsys::MemSystem)) owns the
 //! *timing* of a miss — buses, directory/snoop latency, banks, mesh legs,
-//! MSHRs — while a [`CoherenceProtocol`] is the *state machine* deciding
-//! what each transaction does: where the data comes from, which remote
-//! copies are invalidated or updated, and which [`LineState`] the
-//! requester installs. Swapping the protocol never changes functional
-//! results or the dynamic-op stream (functional execution happens at
-//! fetch, against [`SimMem`](mempar_ir::SimMem)); it only moves cycles.
-//! The cross-protocol conformance suite (`tests/oracle_matrix.rs`)
-//! asserts exactly that.
+//! MSHRs — while the [`Coherence`] state machine decides what each
+//! transaction does: where the data comes from, which remote copies are
+//! invalidated or updated, and which [`LineState`] the requester
+//! installs. Swapping the protocol never changes functional results or
+//! the dynamic-op stream (functional execution happens at fetch, against
+//! [`SimMem`](mempar_ir::SimMem)); it only moves cycles. The
+//! cross-protocol conformance suite (`tests/oracle_matrix.rs`) asserts
+//! exactly that.
 //!
-//! Two state machines serve the four [`Protocol`] values:
-//!
-//! * **Directory** — the paper's CC-NUMA full-map directory (MSI states),
-//!   the default and the machine every committed golden snapshot uses;
-//! * **MESI, MOESI, Dragon** — one snooping machine with `Exclusive`
-//!   (silent `E → M` write hits) and `Owned`, whose two differences are
-//!   properties of the enum: [`Protocol::supplies_clean`] (MESI) and
-//!   [`Protocol::updates_on_write`] (Dragon). See the `snoop` module.
+//! One machine serves the four [`Protocol`] values: the paper's CC-NUMA
+//! full-map directory (MSI states, the default and the machine every
+//! committed golden snapshot but the per-protocol ones uses) and the
+//! snooping MESI, MOESI and Dragon. Their differences are four
+//! properties of the enum — see the `machine` module.
 
-mod snoop;
+mod machine;
 
 use crate::cache::LineState;
-use crate::directory::Directory;
-use snoop::Snoop;
+pub use machine::Coherence;
 
 /// Where a miss's data comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DataSource {
     /// Home memory (the line is uncached, or only clean copies exist and
     /// the protocol does not supply clean data cache-to-cache).
+    #[default]
     Memory,
     /// Another processor's cache supplies the line.
     CacheToCache {
@@ -68,18 +65,23 @@ impl Protocol {
         ]
     }
 
-    /// Builds a fresh state machine for this protocol.
-    pub fn build(self) -> Box<dyn CoherenceProtocol> {
-        match self {
-            Protocol::Directory => Box::new(Directory::new()),
-            snooping => Box::new(Snoop::new(snooping)),
-        }
+    /// Whether a read that finds no other holder installs `Exclusive`,
+    /// so a later write completes silently (MESI, MOESI, Dragon).
+    /// Otherwise every read installs `Shared` (the MSI directory).
+    pub fn installs_exclusive(self) -> bool {
+        self != Protocol::Directory
+    }
+
+    /// Whether a dirty owner that supplies a read keeps the line `Owned`,
+    /// with memory stale (MOESI, Dragon). Otherwise the supply writes
+    /// home back and the owner drops to `Shared` (directory, MESI).
+    pub fn keeps_owned(self) -> bool {
+        matches!(self, Protocol::Moesi | Protocol::Dragon)
     }
 
     /// Whether a clean copy answers a read snoop (Illinois-MESI): any
-    /// holder supplies a read, and a dirty supply writes home back.
-    /// Otherwise only a dirty owner supplies, and it keeps the line
-    /// `Owned` with memory stale (MOESI, Dragon).
+    /// holder supplies a read. Otherwise only a dirty owner supplies,
+    /// and a read that finds only clean copies is served by memory.
     pub fn supplies_clean(self) -> bool {
         self == Protocol::Mesi
     }
@@ -120,15 +122,14 @@ impl std::str::FromStr for Protocol {
 
 /// A pooled coherence-transaction buffer.
 ///
-/// The memory system owns one and threads it through every protocol
-/// call ([`CoherenceProtocol::read_miss`] /
-/// [`CoherenceProtocol::write_miss`]), so the per-request answer —
-/// including the invalidee/updatee/demote lists — reuses the same three
-/// `Vec` allocations for the whole run instead of allocating fresh
-/// outcome structs per miss. [`CohTxn::reset`] clears the lists but
+/// The memory system owns one and threads it through every
+/// `Coherence::read_miss` / `Coherence::write_miss` call, so the
+/// per-request answer — including the invalidee/updatee/demote lists —
+/// reuses the same three `Vec` allocations for the whole run instead of
+/// allocating fresh outcome structs per miss. [`CohTxn::reset`] clears the lists but
 /// keeps their capacity; after warm-up the steady state allocates
 /// nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CohTxn {
     /// Where the data comes from.
     pub source: DataSource,
@@ -153,23 +154,10 @@ pub struct CohTxn {
     pub demote: Vec<usize>,
 }
 
-impl Default for CohTxn {
-    fn default() -> Self {
-        CohTxn {
-            source: DataSource::Memory,
-            memory_update: false,
-            install: LineState::Invalid,
-            invalidees: Vec::new(),
-            updatees: Vec::new(),
-            demote: Vec::new(),
-        }
-    }
-}
-
 impl CohTxn {
     /// Clears the buffer for reuse, keeping list capacity. Callers must
-    /// reset before every `read_miss`/`write_miss` — implementations
-    /// only write the fields they use.
+    /// reset before every `read_miss`/`write_miss` — the machine only
+    /// writes the fields an outcome uses.
     pub fn reset(&mut self) {
         self.source = DataSource::Memory;
         self.memory_update = false;
@@ -177,93 +165,6 @@ impl CohTxn {
         self.invalidees.clear();
         self.updatees.clear();
         self.demote.clear();
-    }
-}
-
-/// A cache-coherence state machine.
-///
-/// Implementations are *oracles*: they track, per line, which processors
-/// hold a copy and who is responsible for supplying it, mirroring what a
-/// real directory or the union of snoop filters would know. The memory
-/// system calls them at transaction-issue time and applies the returned
-/// outcome to the tag arrays (timing model) itself.
-pub trait CoherenceProtocol: Send + std::fmt::Debug {
-    /// Which protocol this is.
-    fn kind(&self) -> Protocol;
-
-    /// Handles a read miss by `proc` on `line`, writing the outcome into
-    /// the caller's pooled buffer. `txn` arrives [reset](CohTxn::reset);
-    /// implementations fill only the fields they use. Any processor
-    /// lists must be pushed in ascending order (their order is
-    /// timing-visible — see [`CohTxn::invalidees`]).
-    fn read_miss(&mut self, line: u64, proc: usize, txn: &mut CohTxn);
-
-    /// Handles a write miss or upgrade by `proc` on `line`, writing the
-    /// outcome into the caller's pooled buffer (same contract as
-    /// [`CoherenceProtocol::read_miss`]).
-    fn write_miss(&mut self, line: u64, proc: usize, txn: &mut CohTxn);
-
-    /// Handles a read miss in a freshly allocated transaction — the
-    /// convenience form of [`CoherenceProtocol::read_miss`] for tests
-    /// and tools; the simulator's hot path uses the pooled form.
-    fn read_req(&mut self, line: u64, proc: usize) -> CohTxn {
-        let mut txn = CohTxn::default();
-        self.read_miss(line, proc, &mut txn);
-        txn
-    }
-
-    /// Handles a write miss or upgrade in a freshly allocated
-    /// transaction (convenience form of [`CoherenceProtocol::write_miss`]).
-    fn write_req(&mut self, line: u64, proc: usize) -> CohTxn {
-        let mut txn = CohTxn::default();
-        self.write_miss(line, proc, &mut txn);
-        txn
-    }
-
-    /// Records that `proc` evicted its copy of `line`.
-    fn evict(&mut self, line: u64, proc: usize);
-
-    /// Notification that `proc` wrote a line it held clean-`Exclusive`:
-    /// the silent `E → M` transition needs no bus transaction, but the
-    /// oracle must learn the copy is now dirty.
-    fn silent_upgrade(&mut self, line: u64, proc: usize);
-
-    /// L2 states in which a write completes without any global
-    /// transaction (`Modified` everywhere; also `Exclusive` for the
-    /// silent-upgrade protocols).
-    fn write_hits(&self, state: LineState) -> bool;
-
-    /// L2 states from which a write needs only permission, not data —
-    /// the no-data upgrade (or update) timing path.
-    fn upgradeable(&self, state: LineState) -> bool;
-
-    /// Number of lines with live protocol state.
-    fn line_count(&self) -> usize;
-
-    /// Total holder population across all tracked lines.
-    fn total_sharers(&self) -> usize;
-
-    /// Slot capacity of the backing line table (for occupancy gauges).
-    fn table_slots(&self) -> usize;
-
-    /// Registers end-of-run protocol population gauges, including the
-    /// backing table's size and load factor (`sim.coh.table.*`).
-    fn export_metrics(&self, reg: &mut mempar_obs::MetricsRegistry) {
-        let (lines, slots) = (self.line_count(), self.table_slots());
-        reg.gauge("sim.coh.lines", lines as f64);
-        reg.gauge("sim.coh.sharers", self.total_sharers() as f64);
-        reg.gauge("sim.coh.table.slots", slots as f64);
-        reg.gauge("sim.coh.table.load", lines as f64 / slots.max(1) as f64);
-    }
-}
-
-/// Pushes the processors set in `mask` onto `out`, lowest first —
-/// ascending order is load-bearing (see [`CohTxn::invalidees`]).
-pub(crate) fn push_mask_procs(mask: u64, out: &mut Vec<usize>) {
-    let mut m = mask;
-    while m != 0 {
-        out.push(m.trailing_zeros() as usize);
-        m &= m - 1;
     }
 }
 
@@ -281,27 +182,27 @@ mod tests {
     }
 
     #[test]
-    fn build_matches_kind() {
-        for p in Protocol::all() {
-            assert_eq!(p.build().kind(), p);
+    fn properties_select_the_protocols() {
+        // (protocol, installs_exclusive, keeps_owned, supplies_clean,
+        // updates_on_write)
+        let table = [
+            (Protocol::Directory, false, false, false, false),
+            (Protocol::Mesi, true, false, true, false),
+            (Protocol::Moesi, true, true, false, false),
+            (Protocol::Dragon, true, true, false, true),
+        ];
+        assert_eq!(table.map(|row| row.0), Protocol::all());
+        for (p, exclusive, owned, clean, update) in table {
+            assert_eq!(
+                (
+                    p.installs_exclusive(),
+                    p.keeps_owned(),
+                    p.supplies_clean(),
+                    p.updates_on_write()
+                ),
+                (exclusive, owned, clean, update),
+                "{p}"
+            );
         }
-    }
-
-    #[test]
-    fn properties_select_the_snooping_protocols() {
-        let pick = |f: fn(Protocol) -> bool| -> Vec<Protocol> {
-            Protocol::all().into_iter().filter(|&p| f(p)).collect()
-        };
-        assert_eq!(pick(Protocol::supplies_clean), vec![Protocol::Mesi]);
-        assert_eq!(pick(Protocol::updates_on_write), vec![Protocol::Dragon]);
-    }
-
-    #[test]
-    fn push_mask_procs_orders_low_first() {
-        let mut v = Vec::new();
-        push_mask_procs(0, &mut v);
-        assert_eq!(v, Vec::<usize>::new());
-        push_mask_procs(0b1011, &mut v);
-        assert_eq!(v, vec![0, 1, 3]);
     }
 }

@@ -57,9 +57,12 @@ pub struct SearchStats {
     pub pruned_predicted: u64,
     /// Candidates handed to the simulator (deterministic).
     pub scored: u64,
-    /// Memo hits during this tune (may vary with thread count).
+    /// Memo hits so far: a running total over every tune the `Tuner`
+    /// has run, since its memo is shared (may vary with thread count).
+    /// One tune's own hits are the difference from the previous report.
     pub memo_hits: u64,
-    /// Memo misses (actual simulations) during this tune.
+    /// Memo misses (actual simulations) so far, a running total like
+    /// `memo_hits`.
     pub memo_misses: u64,
 }
 

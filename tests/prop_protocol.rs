@@ -1,11 +1,13 @@
-//! Property-based tests on the coherence-protocol state machines.
+//! Property-based tests on the coherence state machine.
 //!
-//! Each protocol oracle is driven with random legal event sequences
-//! (read misses, writes, evictions — legality judged exactly the way
-//! `MemSystem` judges it: reads only miss on `Invalid` lines, writes
-//! take the silent-upgrade path when `write_hits` says so) while a tiny
-//! reference model mirrors the outcome-application rules the memory
-//! system uses. After every event the model and the oracle must agree,
+//! The one `Coherence` machine is driven under each of the four
+//! protocols with random legal event sequences (read misses, writes,
+//! evictions — legality judged exactly the way `MemSystem` judges it:
+//! reads only miss on `Invalid` lines, writes take the silent-upgrade
+//! path when `LineState::write_hits` says so) while a tiny reference
+//! model, written independently of the machine's four protocol
+//! properties, mirrors the outcome-application rules the memory system
+//! uses. After every event the model and the oracle must agree,
 //! and the classic single-writer invariants must hold:
 //!
 //! * at most one processor holds a dirty (`Modified`/`Owned`) copy of
@@ -19,11 +21,12 @@
 //! * a write to a held copy that is not a write hit is `upgradeable`
 //!   (the no-data permission/update path);
 //! * the directory and MESI never leave a copy `Owned`, and the
-//!   directory never installs `Exclusive` — the premise that lets one
-//!   `Shared | Owned` upgrade rule serve all three snooping protocols;
+//!   directory never installs `Exclusive` — the premise that lets the
+//!   `Modified | Exclusive` write-hit and `Shared | Owned` upgrade rules
+//!   be properties of the state alone, under all four protocols;
 //! * the oracle's population gauges match the model's holder counts.
 
-use mempar_sim::{CoherenceProtocol, DataSource, LineState, Protocol};
+use mempar_sim::{Coherence, DataSource, LineState, Protocol};
 use proptest::prelude::*;
 
 const NPROCS: usize = 4;
@@ -33,7 +36,7 @@ const NLINES: u64 = 8;
 /// the same rules `MemSystem` applies to its tag arrays.
 type Model = [[LineState; NPROCS]; NLINES as usize];
 
-fn check_invariants(protocol: Protocol, proto: &dyn CoherenceProtocol, model: &Model, step: usize) {
+fn check_invariants(protocol: Protocol, proto: &Coherence, model: &Model, step: usize) {
     let mut lines = 0;
     let mut sharers = 0;
     for (line, procs) in model.iter().enumerate() {
@@ -96,7 +99,7 @@ fn check_invariants(protocol: Protocol, proto: &dyn CoherenceProtocol, model: &M
 /// outcome-application rules in `model` and checking invariants after
 /// every event.
 fn drive(protocol: Protocol, ops: &[(u8, usize, u64)]) {
-    let mut proto = protocol.build();
+    let mut proto = Coherence::new(protocol);
     let mut model: Model = [[LineState::Invalid; NPROCS]; NLINES as usize];
     for (step, &(op, proc, line)) in ops.iter().enumerate() {
         let pre = model[line as usize];
@@ -175,10 +178,10 @@ fn drive(protocol: Protocol, ops: &[(u8, usize, u64)]) {
                 }
                 model[line as usize][proc] = out.install;
             }
-            // Write: silent upgrade when the protocol says the held
-            // state completes locally; otherwise a global transaction.
+            // Write: silent upgrade when the held state completes
+            // locally; otherwise a global transaction.
             1 => {
-                if proto.write_hits(pre[proc]) {
+                if pre[proc].write_hits() {
                     if pre[proc] != LineState::Modified {
                         proto.silent_upgrade(line, proc);
                         model[line as usize][proc] = LineState::Modified;
@@ -187,7 +190,7 @@ fn drive(protocol: Protocol, ops: &[(u8, usize, u64)]) {
                 }
                 if pre[proc] != LineState::Invalid {
                     prop_assert!(
-                        proto.upgradeable(pre[proc]),
+                        pre[proc].upgradeable(),
                         "{protocol} step {step}: write to a held {:?} copy is neither a hit nor upgradeable",
                         pre[proc]
                     );
@@ -274,12 +277,12 @@ fn drive(protocol: Protocol, ops: &[(u8, usize, u64)]) {
                 model[line as usize][proc] = LineState::Invalid;
             }
         }
-        check_invariants(protocol, proto.as_ref(), &model, step);
+        check_invariants(protocol, &proto, &model, step);
     }
 }
 
 proptest! {
-    /// Random legal event sequences against every protocol: the oracle
+    /// Random legal event sequences under every protocol: the machine
     /// must track the reference model exactly and never violate the
     /// single-writer invariants.
     #[test]
