@@ -276,6 +276,16 @@ impl Default for TraceDigest {
 impl TraceDigest {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    /// `PRIME_POW[k]` is `FNV_PRIME^k` (wrapping).
+    const PRIME_POW: [u64; 9] = {
+        let mut pow = [1u64; 9];
+        let mut k = 1;
+        while k < 9 {
+            pow[k] = pow[k - 1].wrapping_mul(Self::FNV_PRIME);
+            k += 1;
+        }
+        pow
+    };
 
     /// An empty digest.
     pub fn new() -> Self {
@@ -292,11 +302,18 @@ impl TraceDigest {
         }
     }
 
+    /// FNV-1a over the word's eight little-endian bytes. A zero byte
+    /// only multiplies the hash by the prime, so the word's high zero
+    /// bytes fold into one multiply by a power of it.
     fn mix(&mut self, word: u64) {
-        for b in word.to_le_bytes() {
-            self.hash ^= b as u64;
+        let len = 8 - (word.leading_zeros() / 8) as usize;
+        let mut rest = word;
+        for _ in 0..len {
+            self.hash ^= rest & 0xff;
             self.hash = self.hash.wrapping_mul(Self::FNV_PRIME);
+            rest >>= 8;
         }
+        self.hash = self.hash.wrapping_mul(Self::PRIME_POW[8 - len]);
     }
 
     /// Folds one op into the digest.
@@ -436,6 +453,34 @@ mod tests {
         assert_eq!(ab.stores, 1);
         assert_ne!(ab.hash(), ba.hash(), "hash must see order");
         assert_eq!(ab, ab);
+    }
+
+    #[test]
+    fn mix_matches_bytewise_fnv1a() {
+        fn reference(mut hash: u64, word: u64) -> u64 {
+            for b in word.to_le_bytes() {
+                hash ^= b as u64;
+                hash = hash.wrapping_mul(TraceDigest::FNV_PRIME);
+            }
+            hash
+        }
+        let mut words = vec![0, 1, 0xff, 0x100, u32::MAX as u64, u64::MAX];
+        // xorshift64, shifted right by a varying amount so every
+        // significant-byte count shows up.
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for i in 0..4096u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            words.push(x >> (i % 64));
+        }
+        let mut d = TraceDigest::new();
+        let mut want = TraceDigest::FNV_OFFSET;
+        for w in words {
+            d.mix(w);
+            want = reference(want, w);
+            assert_eq!(d.hash, want, "word {w:#x}");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ pub fn export_metrics(report: &TuneReport, reg: &mut MetricsRegistry) {
     reg.counter("tune.pruned.illegal", s.pruned_illegal);
     reg.counter("tune.pruned.predicted", s.pruned_predicted);
     reg.counter("tune.scored", s.scored);
+    reg.counter("tune.reused", s.reused);
     reg.counter("tune.memo.hits", s.memo_hits);
     reg.counter("tune.memo.misses", s.memo_misses);
     reg.counter("tune.oracle.failures", report.oracle_failures.len() as u64);
@@ -30,7 +31,7 @@ pub fn export_metrics(report: &TuneReport, reg: &mut MetricsRegistry) {
 /// Renders the reports' candidate scoring slices as a Chrome trace
 /// (`chrome://tracing` / Perfetto "X" complete events). One process
 /// per report, one thread row per nest; each slice is one scored
-/// candidate, with cycles/digest/memo provenance in `args`.
+/// candidate, with cycles/digest/memo/reuse provenance in `args`.
 pub fn tune_trace_json(reports: &[&TuneReport]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
@@ -63,14 +64,15 @@ pub fn tune_trace_json(reports: &[&TuneReport]) -> String {
             out.push_str(&format!(
                 ",{{\"name\":\"{}\",\"cat\":\"tune\",\"ph\":\"X\",\"pid\":{pid},\
                  \"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{\"cycles\":{},\
-                 \"predicted_f\":{:.3},\"digest\":\"{:#018x}\",\"memo_hit\":{}}}}}",
+                 \"predicted_f\":{:.3},\"digest\":\"{:#018x}\",\"memo_hit\":{},\"reused\":{}}}}}",
                 escape_json(&c.label),
                 c.start_us,
                 c.dur_us.max(1),
                 c.cycles,
                 c.predicted,
                 c.digest,
-                c.memo_hit
+                c.memo_hit,
+                c.reused
             ));
         }
     }
@@ -97,6 +99,7 @@ mod tests {
             stats: SearchStats {
                 nests: 1,
                 scored: 2,
+                reused: 1,
                 ..SearchStats::default()
             },
             candidates: vec![CandidateTrace {
@@ -106,6 +109,7 @@ mod tests {
                 cycles: 80,
                 predicted: 4.0,
                 memo_hit: false,
+                reused: true,
                 start_us: 10,
                 dur_us: 25,
             }],
@@ -118,6 +122,7 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         export_metrics(&report(), &mut reg);
         assert_eq!(reg.counter_value("tune.scored"), Some(2));
+        assert_eq!(reg.counter_value("tune.reused"), Some(1));
         assert_eq!(reg.counter_value("tune.cycles.tuned"), Some(80));
         assert!(validate_json(&reg.to_json()).is_ok());
     }
@@ -130,5 +135,6 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("uaj4+sr"));
         assert!(json.contains("memo_hit"));
+        assert!(json.contains("\"reused\":true"));
     }
 }

@@ -17,12 +17,16 @@
 //!    framework's `min(f, α·lp)` (Equations 1–4) under the same
 //!    [`MissProfile`](mempar_analysis::MissProfile) the driver uses
 //!    (analytic or measured), and only the top few reach the simulator.
-//! 3. **Simulation scoring** ([`Tuner::tune_program`]): each candidate
-//!    is oracle-checked against the interpreter (identical sequential
-//!    and parallel-functional memory images) and then timed; scores are
+//! 3. **Simulation scoring** ([`Tuner::tune_program`]): each distinct
+//!    candidate program is oracle-checked against the interpreter
+//!    (identical sequential and parallel-functional memory images) and
+//!    then timed, once per nest — a candidate `==` to the incumbent or
+//!    to an earlier sibling reuses that program's verdict. Scores are
 //!    memoized by *(trace digest, SimOptions, machine fingerprint)*
-//!    ([`ScoreMemo`]) and candidates fan out across threads with
-//!    deterministic winner selection.
+//!    ([`ScoreMemo`]), looked up in candidate order so the hit/miss
+//!    counters do not depend on the thread count, and the oracle drains
+//!    and the simulations fan out across threads with deterministic
+//!    winner selection.
 //!
 //! The paper-default driver's output is always scored too and used as a
 //! floor, so `tuned ≤ min(base, default)` cycles by construction — the

@@ -83,11 +83,10 @@ struct MemoEntry {
 
 /// Thread-shared score cache with hit/miss counters.
 ///
-/// The counters are *not* part of the deterministic tuner outcome —
-/// with several tuner threads, two candidates with equal keys can race
-/// past the lookup and both simulate (same value lands twice), so
-/// hit/miss totals may vary with thread count even though every score
-/// and every winner is identical.
+/// Lookups are served in caller order, and a miss counts as scored
+/// before the next key is looked up, however the scoring runs are then
+/// spread across threads. So the hit/miss totals depend only on the
+/// sequence of keys, never on the tuner's thread count.
 #[derive(Debug, Default)]
 pub struct ScoreMemo {
     map: Mutex<HashMap<MemoKey, MemoEntry>>,
@@ -102,35 +101,86 @@ impl ScoreMemo {
     }
 
     /// Looks `key` up; on miss, runs `score` and stores its result.
+    /// Returns the cycles and whether they came from the memo.
+    ///
+    /// # Panics
+    ///
+    /// As [`ScoreMemo::get_or_score_all`].
+    pub fn get_or_insert(&self, key: &MemoKey, score: impl FnOnce() -> u64) -> (u64, bool) {
+        self.get_or_score_all(std::slice::from_ref(key), |_| vec![score()])[0]
+    }
+
+    /// Looks `keys` up in order, as if each miss were scored before the
+    /// next lookup: the first occurrence of an uncached key is a miss,
+    /// and every later occurrence in the batch is a hit. `score`
+    /// receives the positions of those first occurrences and returns
+    /// their cycles in the same order; it runs outside the lock, so it
+    /// may fan the simulations out. Returns `(cycles, hit)` per key.
     ///
     /// # Panics
     ///
     /// Panics when a hit's stored options signature disagrees with the
     /// key's — that would mean two different `SimOptions` shared a
-    /// cached score.
-    pub fn get_or_insert(&self, key: &MemoKey, score: impl FnOnce() -> u64) -> (u64, bool) {
-        if let Some(e) = self.map.lock().unwrap().get(key) {
-            assert_eq!(
-                e.opts, key.opts,
-                "memo soundness: digest {:#x} hit under options '{}' was cached under '{}'",
-                key.digest, key.opts, e.opts
+    /// cached score — or when `score` returns the wrong number of
+    /// results.
+    pub fn get_or_score_all(
+        &self,
+        keys: &[MemoKey],
+        score: impl FnOnce(&[usize]) -> Vec<u64>,
+    ) -> Vec<(u64, bool)> {
+        // Each key resolves to a cached score or to a slot in `missed`.
+        let mut missed: Vec<usize> = Vec::new();
+        let resolved: Vec<Result<u64, usize>> = {
+            let map = self.map.lock().expect("memo lock poisoned");
+            keys.iter()
+                .enumerate()
+                .map(|(i, key)| {
+                    if let Some(e) = map.get(key) {
+                        assert_eq!(
+                            e.opts, key.opts,
+                            "memo soundness: digest {:#x} hit under options '{}' was cached under '{}'",
+                            key.digest, key.opts, e.opts
+                        );
+                        return Ok(e.cycles);
+                    }
+                    Err(match missed.iter().position(|&m| keys[m] == *key) {
+                        Some(slot) => slot,
+                        None => {
+                            missed.push(i);
+                            missed.len() - 1
+                        }
+                    })
+                })
+                .collect()
+        };
+        let scores = if missed.is_empty() {
+            Vec::new()
+        } else {
+            score(&missed)
+        };
+        assert_eq!(scores.len(), missed.len(), "one score per missed key");
+        let mut map = self.map.lock().expect("memo lock poisoned");
+        for (&i, &cycles) in missed.iter().zip(&scores) {
+            map.insert(
+                keys[i].clone(),
+                MemoEntry {
+                    cycles,
+                    opts: keys[i].opts.clone(),
+                },
             );
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (e.cycles, true);
         }
-        // Score outside the lock: simulations are long and candidates
-        // deterministic, so a racing duplicate just recomputes the same
-        // value.
-        let cycles = score();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map.lock().unwrap().insert(
-            key.clone(),
-            MemoEntry {
-                cycles,
-                opts: key.opts.clone(),
-            },
-        );
-        (cycles, false)
+        self.misses
+            .fetch_add(missed.len() as u64, Ordering::Relaxed);
+        self.hits
+            .fetch_add((keys.len() - missed.len()) as u64, Ordering::Relaxed);
+        resolved
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| match r {
+                Ok(cycles) => (cycles, true),
+                Err(slot) => (scores[slot], missed[slot] != i),
+            })
+            .collect()
     }
 
     /// Cache hits so far.
@@ -189,6 +239,22 @@ mod tests {
         assert_eq!(a2, 100);
         assert!(hit);
         assert_eq!(memo.len(), 3);
+    }
+
+    #[test]
+    fn batch_lookups_count_as_if_serial() {
+        let memo = ScoreMemo::new();
+        let opts = SimOptions::default();
+        memo.get_or_insert(&key(1, opts), || 10);
+        let keys = [key(2, opts), key(1, opts), key(3, opts), key(2, opts)];
+        let got = memo.get_or_score_all(&keys, |missed| {
+            assert_eq!(missed, [0, 2], "only first sightings of unseen keys score");
+            vec![20, 30]
+        });
+        assert_eq!(got, [(20, false), (10, true), (30, false), (20, true)]);
+        assert_eq!((memo.hits(), memo.misses()), (2, 3));
+        let all_cached = memo.get_or_score_all(&keys, |_| unreachable!());
+        assert!(all_cached.iter().all(|&(_, hit)| hit));
     }
 
     #[test]

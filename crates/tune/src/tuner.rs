@@ -22,8 +22,8 @@ pub struct TuneOptions {
     /// Options every scoring simulation runs under.
     pub sim: SimOptions,
     /// Worker threads candidates fan out across (0 = auto). Thread
-    /// count never changes the winner (the determinism tests assert
-    /// this).
+    /// count changes neither the winner nor the memo counters (the
+    /// determinism tests assert both).
     pub threads: usize,
     /// Knob menus for the per-nest space.
     pub space: SpaceOptions,
@@ -55,10 +55,15 @@ pub struct SearchStats {
     pub pruned_illegal: u64,
     /// Candidates dropped by the f/α prediction ranking.
     pub pruned_predicted: u64,
-    /// Candidates handed to the simulator (deterministic).
+    /// Candidates that survived pruning and were scored (deterministic).
     pub scored: u64,
+    /// Scored candidates whose program was `==` to the nest's incumbent
+    /// or to an earlier candidate of the same nest, and so took that
+    /// program's oracle verdict, digest and cycles without re-running
+    /// them.
+    pub reused: u64,
     /// Memo hits so far: a running total over every tune the `Tuner`
-    /// has run, since its memo is shared (may vary with thread count).
+    /// has run, since its memo is shared. Independent of thread count.
     /// One tune's own hits are the difference from the previous report.
     pub memo_hits: u64,
     /// Memo misses (actual simulations) so far, a running total like
@@ -97,6 +102,9 @@ pub struct CandidateTrace {
     pub predicted: f64,
     /// Whether the score came from the memo.
     pub memo_hit: bool,
+    /// Whether the verdict was copied from an IR-identical incumbent or
+    /// sibling instead of being judged (see [`SearchStats::reused`]).
+    pub reused: bool,
     /// Wall-clock start relative to the tune, microseconds (trace
     /// only — never part of the deterministic outcome).
     pub start_us: u64,
@@ -148,8 +156,8 @@ impl TuneReport {
 
     /// The deterministic core of the report: identical across tuner
     /// thread counts and between cold and memo-warm runs. Excludes
-    /// memo hit/miss totals and wall-clock timings, which legitimately
-    /// vary.
+    /// the memo hit/miss totals (a warm run hits more), the reuse count
+    /// and wall-clock timings.
     pub fn outcome_signature(&self) -> String {
         let mut s = format!(
             "{} cfg={} opts={} base={} default={} tuned={} winner={}\n",
@@ -235,6 +243,27 @@ struct Candidate {
     predicted: f64,
 }
 
+/// Where a candidate's verdict comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// Judged itself: its program differs from every one before it.
+    Own,
+    /// `==` to the nest's incumbent.
+    Incumbent,
+    /// `==` to the earlier candidate at this position, which is `Own`.
+    Sibling(usize),
+}
+
+/// A program's oracle result and digest, with the wall-clock interval
+/// (microseconds since the tune began) spent finding them.
+#[derive(Debug, Clone, Copy)]
+struct Verdict {
+    oracle_ok: bool,
+    digest: u64,
+    start_us: u64,
+    end_us: u64,
+}
+
 struct Scored {
     index: usize,
     label: String,
@@ -243,6 +272,7 @@ struct Scored {
     predicted: f64,
     memo_hit: bool,
     oracle_ok: bool,
+    reused: bool,
     start_us: u64,
     dur_us: u64,
 }
@@ -301,17 +331,25 @@ impl Tuner {
         (seq, par)
     }
 
-    /// Scores `prog` in simulated cycles, through the memo.
-    fn score(&self, prog: &Program, cfg: &MachineConfig, mem_at: MemFactory) -> (u64, u64, bool) {
-        let digest = self.digest(prog, cfg.nprocs, mem_at);
-        let key = MemoKey {
+    fn memo_key(&self, digest: u64, cfg: &MachineConfig) -> MemoKey {
+        MemoKey {
             digest,
             opts: opts_signature(self.opts.sim),
             config: config_fingerprint(cfg),
-        };
-        let (cycles, hit) = self.memo.get_or_insert(&key, || {
-            let mut mem = mem_at(cfg.nprocs);
-            run_program_with(prog, &mut mem, cfg, self.opts.sim).cycles
+        }
+    }
+
+    fn simulate(&self, prog: &Program, cfg: &MachineConfig, mem_at: MemFactory) -> u64 {
+        let mut mem = mem_at(cfg.nprocs);
+        run_program_with(prog, &mut mem, cfg, self.opts.sim).cycles
+    }
+
+    /// Scores `prog` in simulated cycles, through the memo. Returns the
+    /// cycles, the digest and whether the memo hit.
+    fn score(&self, prog: &Program, cfg: &MachineConfig, mem_at: MemFactory) -> (u64, u64, bool) {
+        let digest = self.digest(prog, cfg.nprocs, mem_at);
+        let (cycles, hit) = self.memo.get_or_insert(&self.memo_key(digest, cfg), || {
+            self.simulate(prog, cfg, mem_at)
         });
         (cycles, digest, hit)
     }
@@ -344,11 +382,12 @@ impl Tuner {
         let mut oracle_failures = Vec::new();
 
         let (ref_seq, ref_par) = self.oracle_fingerprints(prog, nprocs, mem_at);
-        let (base_cycles, _, _) = self.score(prog, cfg, mem_at);
+        let (base_cycles, base_digest, _) = self.score(prog, cfg, mem_at);
 
         // Incumbent: the best program so far, improved nest by nest.
         let mut best = prog.clone();
         let mut best_cycles = base_cycles;
+        let mut best_digest = base_digest;
 
         // Reverse program order, like the clustering driver: transforms
         // insert statements at or after their own position only, so
@@ -415,32 +454,120 @@ impl Tuner {
             }
             stats.scored += cands.len() as u64;
 
-            // Fan the oracle + scoring out across the pool. Results
-            // come back in candidate order regardless of thread count.
-            let scored: Vec<Scored> = pool
-                .run_indexed(cands.len(), |i| {
-                    let c = &cands[i];
-                    let t0 = epoch.elapsed().as_micros() as u64;
-                    let (seq, par) = self.oracle_fingerprints(&c.prog, nprocs, mem_at);
-                    let oracle_ok = seq == ref_seq && par == ref_par;
-                    let (cycles, digest, memo_hit) = if oracle_ok {
-                        self.score(&c.prog, cfg, mem_at)
+            // Judge each distinct program once. Identical IR on the same
+            // memory, machine and options has the same oracle result,
+            // digest and cycles, so a candidate `==` to the incumbent or
+            // to an earlier sibling takes that program's verdict. The
+            // lookup stays within the nest: programs of earlier nests
+            // are not kept.
+            let origin: Vec<Origin> = (0..cands.len())
+                .map(|i| {
+                    if cands[i].prog == best {
+                        Origin::Incumbent
                     } else {
-                        (u64::MAX, 0, false)
+                        (0..i)
+                            .find(|&j| cands[j].prog == cands[i].prog)
+                            .map_or(Origin::Own, Origin::Sibling)
+                    }
+                })
+                .collect();
+            stats.reused += origin.iter().filter(|&&o| o != Origin::Own).count() as u64;
+
+            // Fan the oracle and digest drains out across the pool over
+            // the distinct programs. Results come back in order
+            // regardless of thread count.
+            let own: Vec<usize> = (0..cands.len())
+                .filter(|&i| origin[i] == Origin::Own)
+                .collect();
+            let mut judged = pool
+                .run_indexed(own.len(), |k| {
+                    let prog = &cands[own[k]].prog;
+                    let start_us = epoch.elapsed().as_micros() as u64;
+                    let (seq, par) = self.oracle_fingerprints(prog, nprocs, mem_at);
+                    let oracle_ok = seq == ref_seq && par == ref_par;
+                    let digest = if oracle_ok {
+                        self.digest(prog, nprocs, mem_at)
+                    } else {
+                        0
                     };
+                    Verdict {
+                        oracle_ok,
+                        digest,
+                        start_us,
+                        end_us: epoch.elapsed().as_micros() as u64,
+                    }
+                })
+                .into_iter();
+            let now_us = epoch.elapsed().as_micros() as u64;
+            let copied = |oracle_ok, digest| Verdict {
+                oracle_ok,
+                digest,
+                start_us: now_us,
+                end_us: now_us,
+            };
+            let mut verdicts: Vec<Verdict> = Vec::with_capacity(cands.len());
+            for o in &origin {
+                let v = match *o {
+                    Origin::Own => judged.next().expect("one verdict per distinct program"),
+                    // The incumbent passed the oracle: it is the base
+                    // program or a candidate that did.
+                    Origin::Incumbent => copied(true, best_digest),
+                    Origin::Sibling(j) => copied(verdicts[j].oracle_ok, verdicts[j].digest),
+                };
+                verdicts.push(v);
+            }
+
+            // Memo lookups in candidate order, then the simulations of
+            // the digests the memo has not seen, fanned out: the memo
+            // counters never depend on the thread count.
+            let passed: Vec<usize> = (0..cands.len())
+                .filter(|&i| verdicts[i].oracle_ok)
+                .collect();
+            let keys: Vec<MemoKey> = passed
+                .iter()
+                .map(|&i| self.memo_key(verdicts[i].digest, cfg))
+                .collect();
+            let mut sim_end_us = vec![None; cands.len()];
+            let looked_up = self.memo.get_or_score_all(&keys, |missed| {
+                let runs = pool.run_indexed(missed.len(), |m| {
+                    let cycles = self.simulate(&cands[passed[missed[m]]].prog, cfg, mem_at);
+                    (cycles, epoch.elapsed().as_micros() as u64)
+                });
+                missed
+                    .iter()
+                    .zip(runs)
+                    .map(|(&k, (cycles, end_us))| {
+                        sim_end_us[passed[k]] = Some(end_us);
+                        cycles
+                    })
+                    .collect()
+            });
+            let mut looked_up = looked_up.into_iter();
+
+            let scored: Vec<Scored> = cands
+                .iter()
+                .zip(&verdicts)
+                .enumerate()
+                .map(|(i, (c, v))| {
+                    let (cycles, memo_hit) = if v.oracle_ok {
+                        looked_up.next().expect("one lookup per passing candidate")
+                    } else {
+                        (u64::MAX, false)
+                    };
+                    let end_us = sim_end_us[i].unwrap_or(v.end_us);
                     Scored {
                         index: c.index,
                         label: c.comp.label(),
-                        digest,
+                        digest: v.digest,
                         cycles,
                         predicted: c.predicted,
                         memo_hit,
-                        oracle_ok,
-                        start_us: t0,
-                        dur_us: epoch.elapsed().as_micros() as u64 - t0,
+                        oracle_ok: v.oracle_ok,
+                        reused: origin[i] != Origin::Own,
+                        start_us: v.start_us,
+                        dur_us: end_us - v.start_us,
                     }
                 })
-                .into_iter()
                 .collect();
 
             for s in &scored {
@@ -455,6 +582,7 @@ impl Tuner {
                     cycles: s.cycles,
                     predicted: s.predicted,
                     memo_hit: s.memo_hit,
+                    reused: s.reused,
                     start_us: s.start_us,
                     dur_us: s.dur_us,
                 });
@@ -482,6 +610,7 @@ impl Tuner {
                     }
                     best = c.prog.clone();
                     best_cycles = w.cycles;
+                    best_digest = w.digest;
                     chosen = c.comp.label();
                 }
             }

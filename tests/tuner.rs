@@ -1,8 +1,8 @@
 //! Tuner determinism and memo-soundness gates.
 //!
-//! * The winning composition and its score must be identical at
-//!   `--threads 1` and `--threads N` — candidate fan-out changes
-//!   wall-clock only, never the result.
+//! * The winning composition, its score and the memo hit/miss
+//!   counters must be identical at `--threads 1` and `--threads N` —
+//!   candidate fan-out changes wall-clock only, never the result.
 //! * A memo-warm rerun (same tuner, same program) must reproduce the
 //!   cold run's outcome bit-identically.
 //! * Scores cached under one `SimOptions` must never be served to
@@ -16,7 +16,7 @@ use mempar::{profile_miss_rates, MachineConfig};
 use mempar_analysis::Locality;
 use mempar_difftest::{gen_spec, materialize, PINNED_GEN_SEEDS};
 use mempar_tune::{opts_signature, tune_workload, MemoKey, TuneOptions, TuneReport, Tuner};
-use mempar_workloads::{latbench, LatbenchParams};
+use mempar_workloads::{latbench, App, LatbenchParams};
 
 fn tune_seed(tuner: &Tuner, seed: u64) -> TuneReport {
     let built = materialize(&gen_spec(seed));
@@ -51,6 +51,11 @@ fn assert_thread_invariance(seeds: impl Iterator<Item = u64>) {
             a.outcome_signature(),
             b.outcome_signature(),
             "seed {seed}: 1-thread and 4-thread tunes must agree"
+        );
+        assert_eq!(
+            (a.stats.memo_hits, a.stats.memo_misses),
+            (b.stats.memo_hits, b.stats.memo_misses),
+            "seed {seed}: memo traffic must not depend on the thread count"
         );
     }
 }
@@ -103,6 +108,24 @@ fn latbench_tune_is_thread_and_memo_invariant() {
     assert_eq!(a.outcome_signature(), b.outcome_signature());
     assert_eq!(b.outcome_signature(), warm.outcome_signature());
     assert!(a.tuned_cycles < a.base_cycles, "{}", a.summary());
+}
+
+/// Candidates whose IR equals the nest's incumbent or an earlier
+/// sibling take that program's verdict instead of being judged again,
+/// and still count as one memo lookup each.
+#[test]
+fn identical_candidates_reuse_their_twin() {
+    let scale = 0.015;
+    let w = App::Latbench.build(scale);
+    let cfg = MachineConfig::base_simulated(1, mempar_bench::scaled_l2(w.l2_bytes, scale));
+    let tuner = Tuner::new(opts_with_threads(1));
+    let (_, r, _) = tune_workload(&w, &cfg, &tuner, Locality::Analytic);
+    assert!(r.oracle_failures.is_empty(), "{:?}", r.oracle_failures);
+    assert_eq!(r.stats.reused, 4, "{}", r.summary());
+    assert_eq!(r.candidates.iter().filter(|c| c.reused).count(), 4);
+    assert!(r.candidates.iter().filter(|c| c.reused).all(|c| c.memo_hit));
+    // Every scored candidate plus the base and default-driver programs.
+    assert_eq!(r.stats.memo_hits + r.stats.memo_misses, r.stats.scored + 2);
 }
 
 /// End-to-end memo-key soundness: take digests of real scored
