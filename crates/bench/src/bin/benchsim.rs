@@ -23,17 +23,14 @@
 //! cargo run --release -p mempar-bench --bin benchsim -- --scale 0.1
 //! ```
 
-use mempar::{measure_locality, sim_reuse_profiler};
+use mempar::{measure_locality, ReuseConfig};
 use mempar_analysis::Locality;
 use mempar_bench::{
     bench_sim_json, log_enabled, parse_args, timed, FrontendBenchRecord, LocalityBenchRecord,
     LogLevel, Reads, SimBenchRecord, TuneBenchRecord,
 };
 use mempar_ir::{BytecodeProgram, Interp, Vm};
-use mempar_sim::{
-    run_program_observed, run_program_with, Engine, MachineConfig, Protocol, ReuseConfig,
-    SimOptions, Stepper, Tracer,
-};
+use mempar_sim::{run_program_with, Engine, MachineConfig, Protocol, SimOptions, Stepper};
 use mempar_tune::{tune_workload, TuneOptions, Tuner};
 use mempar_workloads::App;
 
@@ -196,16 +193,11 @@ fn main() {
             );
         }
         frontend.push(f);
-        // Measured-locality overhead legs (DESIGN.md §12). (a) The
-        // sampled reuse-distance pre-pass (`measure_locality`) against a
-        // plain single-stream interpreter drain of the same op stream —
-        // both walk `Interp::new(prog, 0, 1)` over a fresh memory, so
-        // the ratio is exactly what SHARDS sampling costs. (b) The
-        // in-sim fetch-stage tap: an observed event run with the
-        // profiler attached against an identical run with it off. The
-        // tap is pure observation, so both observed legs must land on
-        // the exact simulated cycle count of the untraced event legs
-        // above — asserted here before the ratio is recorded.
+        // Measured-locality overhead leg (DESIGN.md §12): the sampled
+        // reuse-distance pre-pass (`measure_locality`) against a plain
+        // single-stream interpreter drain of the same op stream — both
+        // walk `Interp::new(prog, 0, 1)` over a fresh memory, so the
+        // ratio is exactly what SHARDS sampling costs.
         let drain_seconds = min_of_3(&|| {
             let mut mem = w.memory(1);
             let mut it = Interp::new(&w.program, 0, 1);
@@ -218,43 +210,6 @@ fn main() {
         let mut reuse_mem = w.memory(1);
         let (_, report) =
             measure_locality(&w.program, &mut reuse_mem, &cfg, ReuseConfig::default());
-        let opts = directory(Stepper::Event, Engine::Bytecode);
-        let mut sim_best = f64::INFINITY;
-        let mut tap_best = f64::INFINITY;
-        for _ in 0..3 {
-            let mut mem = w.memory(nprocs);
-            let ((r_off, _), secs) = timed(|| {
-                run_program_observed(
-                    &w.program,
-                    &mut mem,
-                    &cfg,
-                    opts,
-                    Tracer::with_capacity(0),
-                    None,
-                )
-            });
-            assert_eq!(
-                r_off.cycles, cycles_by_mode[0],
-                "{name}: attaching the tracer drifted the simulated cycle count"
-            );
-            sim_best = sim_best.min(secs);
-            let mut mem = w.memory(nprocs);
-            let ((r_tap, _), secs) = timed(|| {
-                run_program_observed(
-                    &w.program,
-                    &mut mem,
-                    &cfg,
-                    opts,
-                    Tracer::with_capacity(0),
-                    Some(sim_reuse_profiler(&w.program, &cfg, ReuseConfig::default())),
-                )
-            });
-            assert_eq!(
-                r_tap.cycles, cycles_by_mode[0],
-                "{name}: the reuse tap drifted the simulated cycle count"
-            );
-            tap_best = tap_best.min(secs);
-        }
         let l = LocalityBenchRecord {
             experiment: name.to_string(),
             accesses: report.accesses,
@@ -262,16 +217,13 @@ fn main() {
             sampled: report.sampled,
             drain_seconds,
             prepass_seconds,
-            sim_seconds: sim_best,
-            sim_tap_seconds: tap_best,
         };
         if log_enabled(LogLevel::Info) {
             eprintln!(
-                "[{name}] reuse profiler: {} accesses, rate {:.4}, pre-pass {:.2}x drain, in-sim tap {:.2}x",
+                "[{name}] reuse profiler: {} accesses, rate {:.4}, pre-pass {:.2}x drain",
                 l.accesses,
                 l.sampling_rate,
-                l.prepass_overhead(),
-                l.tap_overhead()
+                l.prepass_overhead()
             );
         }
         locality.push(l);

@@ -442,7 +442,6 @@ pub fn write_observation_outputs(args: &HarnessArgs, outcomes: &[PairOutcome]) {
                 pid: i as u32,
                 events: &r.obs.trace,
                 end_cycle: r.obs.end_cycle,
-                reuse: r.obs.reuse_samples(),
             })
             .collect();
         let clock_mhz = runs.first().map_or(0, |r| r.obs.clock_mhz);
@@ -607,12 +606,8 @@ impl FrontendBenchRecord {
 }
 
 /// One measured-locality overhead measurement for `BENCH_sim.json`: what
-/// the sampled reuse-distance profiler costs, both as a functional
-/// pre-pass (`measure_locality` against a plain interpreter drain of the
-/// same op stream) and as the in-sim fetch-stage tap (an observed event
-/// run with the tap on against an identical run with it off). The tap
-/// legs must report the same simulated cycle count as the untapped run —
-/// the harness asserts zero drift before recording.
+/// the sampled reuse-distance pre-pass (`measure_locality`) costs against
+/// a plain interpreter drain of the same op stream.
 #[derive(Debug, Clone)]
 pub struct LocalityBenchRecord {
     /// Experiment name (matches the simulated records).
@@ -627,21 +622,12 @@ pub struct LocalityBenchRecord {
     pub drain_seconds: f64,
     /// Host seconds for one `measure_locality` pre-pass (drain + profiler).
     pub prepass_seconds: f64,
-    /// Host seconds for one observed event run, fetch-stage tap off.
-    pub sim_seconds: f64,
-    /// Host seconds for one observed event run, fetch-stage tap on.
-    pub sim_tap_seconds: f64,
 }
 
 impl LocalityBenchRecord {
     /// Pre-pass cost over a plain functional drain (1.0 = free).
     pub fn prepass_overhead(&self) -> f64 {
         self.prepass_seconds / self.drain_seconds.max(1e-12)
-    }
-
-    /// In-sim tap cost over an identical untapped observed run.
-    pub fn tap_overhead(&self) -> f64 {
-        self.sim_tap_seconds / self.sim_seconds.max(1e-12)
     }
 }
 
@@ -786,7 +772,6 @@ pub fn bench_sim_json(
                 "\"reuse_prepass_overhead\": {:.2}",
                 l.prepass_overhead()
             ));
-            fields.push(format!("\"reuse_tap_overhead\": {:.2}", l.tap_overhead()));
         }
         if let Some(t) = tune.iter().find(|t| t.experiment == r.experiment) {
             fields.push(format!("\"tuned_vs_default\": {:.3}", t.tuned_vs_default()));
@@ -816,15 +801,14 @@ pub fn bench_sim_json(
         .iter()
         .map(|l| {
             format!(
-                "    {{\"experiment\": \"{}\", \"accesses\": {}, \"sampling_rate\": {:.6}, \"sampled\": {}, \"drain_ns_per_access\": {:.2}, \"prepass_ns_per_access\": {:.2}, \"prepass_overhead\": {:.2}, \"sim_tap_overhead\": {:.2}}}",
+                "    {{\"experiment\": \"{}\", \"accesses\": {}, \"sampling_rate\": {:.6}, \"sampled\": {}, \"drain_ns_per_access\": {:.2}, \"prepass_ns_per_access\": {:.2}, \"prepass_overhead\": {:.2}}}",
                 l.experiment,
                 l.accesses,
                 l.sampling_rate,
                 l.sampled,
                 l.drain_seconds * 1e9 / l.accesses.max(1) as f64,
                 l.prepass_seconds * 1e9 / l.accesses.max(1) as f64,
-                l.prepass_overhead(),
-                l.tap_overhead()
+                l.prepass_overhead()
             )
         })
         .collect();
@@ -940,8 +924,6 @@ mod tests {
             sampled: 1_000,
             drain_seconds: 0.10,
             prepass_seconds: 0.15,
-            sim_seconds: 0.50,
-            sim_tap_seconds: 0.55,
         }];
         let tune = vec![TuneBenchRecord {
             experiment: "fft-mp".into(),
@@ -962,9 +944,7 @@ mod tests {
         assert!(json.contains("\"frontend_speedup\": 1.50"));
         assert!(json.contains("\"interp_ns_per_op\""));
         assert!(json.contains("\"prepass_overhead\": 1.50"));
-        assert!(json.contains("\"sim_tap_overhead\": 1.10"));
         assert!(json.contains("\"reuse_prepass_overhead\": 1.50"));
-        assert!(json.contains("\"reuse_tap_overhead\": 1.10"));
         assert!(json.contains("\"sampling_rate\": 0.125000"));
         // The tune leg lands both as its own record and as the
         // headline column on the experiment's speedups row.

@@ -15,7 +15,7 @@ use mempar_sim::{
 use mempar_transform::{cluster_program, ClusterReport};
 use mempar_workloads::Workload;
 
-use crate::profile::{measure_locality, profile_miss_rates, sim_reuse_profiler};
+use crate::profile::{measure_locality, profile_miss_rates};
 
 /// Default trace ring capacity for observed runs: large enough to hold
 /// every event of the harness's scaled-down workloads; bigger runs keep
@@ -139,9 +139,8 @@ pub struct PairOptions {
     /// with the sampled reuse profile and returns calibration artifacts.
     pub locality: Locality,
     /// Trace ring capacity: `Some` records trace events, a metrics
-    /// snapshot and the per-reference clustering profile of both runs
-    /// (plus the in-sim reuse tap under measured locality). Results stay
-    /// bit-identical to an untraced pair's.
+    /// snapshot and the per-reference clustering profile of both runs.
+    /// Results stay bit-identical to an untraced pair's.
     pub trace: Option<usize>,
 }
 
@@ -196,15 +195,12 @@ pub fn run_pair_with(w: &Workload, cfg: &MachineConfig, opts: PairOptions) -> Pa
         let Some(capacity) = opts.trace else {
             return (run_program_with(prog, &mut mem, cfg, opts.sim), None, mem);
         };
-        let reuse = (opts.locality == Locality::Measured)
-            .then(|| sim_reuse_profiler(prog, cfg, ReuseConfig::default()));
         let (result, obs) = run_program_observed(
             prog,
             &mut mem,
             cfg,
             opts.sim,
             Tracer::with_capacity(capacity),
-            reuse,
         );
         let observed = ObservedRun {
             name: format!("{}/{variant}", w.name),

@@ -57,7 +57,7 @@ pub use experiment::{
     run_pair_with, LocalityArtifacts, ObservedRun, PairOptions, PairOutcome, RunPair,
     DEFAULT_TRACE_CAPACITY,
 };
-pub use profile::{measure_locality, profile_miss_rates, reuse_levels, sim_reuse_profiler};
+pub use profile::{measure_locality, profile_miss_rates, reuse_levels};
 
 // The pieces users compose with, re-exported at the facade.
 pub use mempar_analysis::{
@@ -69,7 +69,7 @@ pub use mempar_obs::{
 };
 pub use mempar_sim::{
     run_program, run_program_observed, run_program_with, Engine, MachineConfig, Protocol,
-    ReuseProfiler, SimOptions, SimResult, Stepper,
+    SimOptions, SimResult, Stepper,
 };
 pub use mempar_stats::{
     format_breakdown_table, format_occupancy_curves, format_rows, Breakdown, Row,

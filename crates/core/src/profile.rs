@@ -76,22 +76,6 @@ pub fn reuse_levels(cfg: &MachineConfig) -> Vec<ReuseLevel> {
     levels
 }
 
-/// A [`ReuseProfiler`] sized for `prog` on `cfg`: distances counted in
-/// L2 lines, one stream per processor, levels from [`reuse_levels`].
-pub fn sim_reuse_profiler(
-    prog: &Program,
-    cfg: &MachineConfig,
-    reuse_cfg: ReuseConfig,
-) -> ReuseProfiler {
-    ReuseProfiler::new(
-        reuse_cfg,
-        cfg.l2.line_bytes.trailing_zeros(),
-        reuse_levels(cfg),
-        prog.arrays.len(),
-        cfg.nprocs,
-    )
-}
-
 /// The measured-locality pre-pass behind `--locality measured`: runs
 /// `prog` functionally on one processor, feeds its data references
 /// through the sampled reuse-distance profiler, and distills the result
@@ -105,13 +89,17 @@ pub fn measure_locality(
     cfg: &MachineConfig,
     reuse_cfg: ReuseConfig,
 ) -> (MissProfile, ReuseReport) {
-    let mut profiler = sim_reuse_profiler(prog, cfg, reuse_cfg);
+    // Distances are counted in L2 lines.
+    let mut profiler = ReuseProfiler::new(
+        reuse_cfg,
+        cfg.l2.line_bytes.trailing_zeros(),
+        reuse_levels(cfg),
+        prog.arrays.len(),
+    );
     let mut interp = Interp::new(prog, 0, 1);
-    let mut t = 0u64;
     while let Some(op) = interp.next_op(mem) {
         if let Some(addr) = op.kind.addr() {
-            profiler.observe(0, t, addr, mem.array_of_addr(addr).map(|a| a.index()));
-            t += 1;
+            profiler.observe(addr, mem.array_of_addr(addr).map(|a| a.index()));
         }
     }
     let names: Vec<String> = prog.arrays.iter().map(|a| a.name.clone()).collect();

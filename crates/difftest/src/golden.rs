@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use mempar_ir::{run_parallel_functional, Interp, Program, SimMem, TraceDigest};
+use mempar_ir::{digest_ops, run_parallel_functional, Engine, Program, SimMem};
 use mempar_sim::{run_program, run_program_with, MachineConfig, Protocol, SimOptions};
 
 /// Environment variable that switches [`check_golden`] from compare
@@ -47,11 +47,7 @@ pub fn snapshot(
 
     // Uniprocessor dynamic-op stream digest + sequential memory image.
     let mut mem = fresh_mem(1);
-    let mut digest = TraceDigest::new();
-    let mut interp = Interp::new(prog, 0, 1);
-    while let Some(op) = interp.next_op(&mut mem) {
-        digest.absorb(&op);
-    }
+    let digest = digest_ops(prog, &mut mem, 1, Engine::Interp);
     let _ = writeln!(s, "trace.ops: {}", digest.ops);
     let _ = writeln!(s, "trace.loads: {}", digest.loads);
     let _ = writeln!(s, "trace.stores: {}", digest.stores);

@@ -291,16 +291,6 @@ impl BytecodeProgram {
             n_temps: c.n_temps as usize,
         }
     }
-
-    /// Number of bytecode instructions (diagnostics, benches).
-    pub fn insn_count(&self) -> usize {
-        self.insns.len()
-    }
-
-    /// Number of expression-temporary slots a VM needs.
-    pub fn temp_slots(&self) -> usize {
-        self.n_temps
-    }
 }
 
 /// Binary-op value semantics, shared verbatim between compile-time

@@ -73,4 +73,4 @@ pub use program::{
 };
 pub use trace::{DynOp, FpUnit, OpKind, SrcList, TraceDigest, MAX_SRCS};
 pub use validate::ValidateError;
-pub use vm::{run_parallel_functional_with, run_single_with, Engine, Executor, Vm};
+pub use vm::{digest_ops, run_parallel_functional_with, run_single_with, Engine, Executor, Vm};

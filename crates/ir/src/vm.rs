@@ -18,7 +18,7 @@ use crate::expr::CmpOp;
 use crate::interp::{run_single, Interp, RunSummary};
 use crate::mem::SimMem;
 use crate::program::{Dist, Program};
-use crate::trace::{DynOp, OpKind, SrcList};
+use crate::trace::{DynOp, OpKind, SrcList, TraceDigest};
 
 /// Selects which functional engine produces the dynamic-op stream.
 ///
@@ -547,6 +547,21 @@ pub enum Executor<'p> {
 }
 
 impl<'p> Executor<'p> {
+    /// Processor `pid` of `nprocs` running `prog`: on the VM when `code`
+    /// (compiled from `prog`) is given, else on the tree-walking
+    /// interpreter.
+    pub fn new(
+        prog: &'p Program,
+        code: Option<&'p BytecodeProgram>,
+        pid: usize,
+        nprocs: usize,
+    ) -> Self {
+        match code {
+            Some(code) => Executor::Vm(Vm::new(code, pid, nprocs)),
+            None => Executor::Interp(Interp::new(prog, pid, nprocs)),
+        }
+    }
+
     /// Produces the next dynamic op, or `None` at end of program.
     #[inline]
     pub fn next_op(&mut self, mem: &mut SimMem) -> Option<DynOp> {
@@ -599,21 +614,27 @@ pub fn run_parallel_functional_with(
     nprocs: usize,
     engine: Engine,
 ) -> RunSummary {
-    match engine {
-        Engine::Interp => {
-            let mut execs: Vec<Executor> = (0..nprocs)
-                .map(|p| Executor::Interp(Interp::new(prog, p, nprocs)))
-                .collect();
-            run_parallel_executors(&mut execs, mem)
-        }
-        Engine::Bytecode => {
-            let code = BytecodeProgram::compile(prog);
-            let mut execs: Vec<Executor> = (0..nprocs)
-                .map(|p| Executor::Vm(Vm::new(&code, p, nprocs)))
-                .collect();
-            run_parallel_executors(&mut execs, mem)
+    let code = (engine == Engine::Bytecode).then(|| BytecodeProgram::compile(prog));
+    let mut execs: Vec<Executor> = (0..nprocs)
+        .map(|p| Executor::new(prog, code.as_ref(), p, nprocs))
+        .collect();
+    run_parallel_executors(&mut execs, mem)
+}
+
+/// Drains the op streams of processors `0..nprocs` running `prog` under
+/// `engine`, one processor after another on `mem`, into one order-
+/// sensitive digest. With one processor this is the program's sequential
+/// op stream.
+pub fn digest_ops(prog: &Program, mem: &mut SimMem, nprocs: usize, engine: Engine) -> TraceDigest {
+    let code = (engine == Engine::Bytecode).then(|| BytecodeProgram::compile(prog));
+    let mut digest = TraceDigest::new();
+    for pid in 0..nprocs {
+        let mut exec = Executor::new(prog, code.as_ref(), pid, nprocs);
+        while let Some(op) = exec.next_op(mem) {
+            digest.absorb(&op);
         }
     }
+    digest
 }
 
 /// The shared round-robin scheduler behind the parallel functional

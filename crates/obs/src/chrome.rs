@@ -12,7 +12,6 @@
 use mempar_stats::StallClass;
 
 use crate::json::escape_json;
-use crate::reuse::ReuseSample;
 use crate::trace::{TraceEvent, TraceEventKind, SYSTEM_PROC};
 
 /// One simulated run to export (several runs — e.g. base vs clustered —
@@ -27,10 +26,6 @@ pub struct ChromeRun<'a> {
     pub events: &'a [TraceEvent],
     /// Cycle to close still-open spans at (the run's wall clock).
     pub end_cycle: u64,
-    /// Sampled reuse distances (from a [`crate::ReuseProfiler`] tap),
-    /// rendered as a per-processor `"ph": "C"` counter track. Empty for
-    /// unprofiled runs — no track is emitted.
-    pub reuse: &'a [ReuseSample],
 }
 
 fn stall_name(c: StallClass) -> &'static str {
@@ -183,13 +178,6 @@ fn emit_run(run: &ChromeRun, out: &mut Vec<String>) {
     for (proc, class, t0) in open_stall {
         out.push(stall_span(pid, proc, class, t0, run.end_cycle.max(t0)));
     }
-    for s in run.reuse {
-        note_tid(s.proc, &mut tids_seen, out);
-        out.push(format!(
-            "{{\"ph\": \"C\", \"pid\": {pid}, \"tid\": {}, \"ts\": {}, \"name\": \"reuse p{}\", \"args\": {{\"scaled_dist\": {}}}}}",
-            s.proc, s.time, s.proc, s.scaled_dist
-        ));
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -266,7 +254,6 @@ mod tests {
             pid: 0,
             events: &events,
             end_cycle: 100,
-            reuse: &[],
         }];
         let json = chrome_trace_json(&runs, 300);
         validate_json(&json).expect("chrome trace must be well-formed JSON");
@@ -306,7 +293,6 @@ mod tests {
             pid: 3,
             events: &events,
             end_cycle: 42,
-            reuse: &[],
         }];
         let json = chrome_trace_json(&runs, 300);
         validate_json(&json).expect("valid");
@@ -326,41 +312,9 @@ mod tests {
             pid: 0,
             events: &events,
             end_cycle: 10,
-            reuse: &[],
         }];
         let json = chrome_trace_json(&runs, 300);
         validate_json(&json).expect("valid");
         assert!(!json.contains("0x99"), "fill without issue is dropped");
-    }
-
-    #[test]
-    fn reuse_samples_become_counter_track() {
-        let samples = [
-            ReuseSample {
-                time: 10,
-                proc: 0,
-                scaled_dist: 4,
-            },
-            ReuseSample {
-                time: 25,
-                proc: 1,
-                scaled_dist: 1024,
-            },
-        ];
-        let runs = [ChromeRun {
-            name: "reuse",
-            pid: 0,
-            events: &[],
-            end_cycle: 30,
-            reuse: &samples,
-        }];
-        let json = chrome_trace_json(&runs, 300);
-        validate_json(&json).expect("valid");
-        assert!(json.contains("\"name\": \"reuse p0\""));
-        assert!(json.contains("\"scaled_dist\": 1024"));
-        assert!(
-            json.contains("\"name\": \"proc 1\""),
-            "tid metadata emitted"
-        );
     }
 }

@@ -14,7 +14,7 @@
 //!   that loads directly in Perfetto or `chrome://tracing`.
 //! * [`MetricsRegistry`] — named counters/gauges/histograms that every
 //!   simulator component registers into (naming convention
-//!   `sim.cache.l2.miss`, `sim.proc0.core.retired`, …), with JSON and CSV
+//!   `sim.cache.l2.miss`, `sim.proc0.core.retired`, …), with JSON
 //!   snapshot export.
 //! * [`profile_misses`] — joins trace events against the leading
 //!   references found by `mempar-analysis`, reporting per static
@@ -22,7 +22,7 @@
 //!   issue), serialization ratio, and achieved-vs-predicted `f/α` — a
 //!   direct empirical check of the unroll-and-jam model.
 //! * [`ReuseProfiler`] — a streaming, SHARDS-sampled reuse-distance
-//!   profiler over the dynamic-op address stream, producing per-array
+//!   profiler over a functional run's address stream, producing per-array
 //!   measured miss probabilities per cache level ([`ReuseReport`]) and
 //!   the predicted-vs-measured calibration table ([`locality_delta`])
 //!   behind the harness `--locality measured` mode.
@@ -46,6 +46,6 @@ pub use profile::{profile_misses, RefClusterRow, RefProfile};
 pub use registry::{histogram_percentiles, Metric, MetricsRegistry};
 pub use reuse::{
     locality_delta, ArrayReuse, DeltaReport, DeltaRow, ReuseConfig, ReuseLevel, ReuseProfiler,
-    ReuseReport, ReuseSample,
+    ReuseReport,
 };
 pub use trace::{TraceEvent, TraceEventKind, Tracer, SYSTEM_PROC};

@@ -1,6 +1,6 @@
 //! The metrics registry: named counters, gauges and histograms that
-//! simulator components register into after a run, with JSON and CSV
-//! snapshot export.
+//! simulator components register into after a run, with JSON snapshot
+//! export.
 //!
 //! Naming convention: dot-separated paths rooted at the producing
 //! subsystem — `sim.cache.l2.miss`, `sim.mem.remote_miss`,
@@ -123,29 +123,6 @@ impl MetricsRegistry {
         s.push_str("\n  }\n}\n");
         s
     }
-
-    /// CSV snapshot with header `name,type,value,p50,p95,p99`; histogram
-    /// bins are `;`-joined in the value column, with the percentile bin
-    /// indices in the trailing columns (empty for counters/gauges and for
-    /// all-zero histograms).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("name,type,value,p50,p95,p99\n");
-        for (name, m) in &self.map {
-            match m {
-                Metric::Counter(c) => s.push_str(&format!("{name},counter,{c},,,\n")),
-                Metric::Gauge(g) => s.push_str(&format!("{name},gauge,{},,,\n", fmt_f64(*g))),
-                Metric::Histogram(bins) => {
-                    let joined: Vec<String> = bins.iter().map(u64::to_string).collect();
-                    let pct = match histogram_percentiles(bins) {
-                        Some([p50, p95, p99]) => format!("{p50},{p95},{p99}"),
-                        None => ",,".into(),
-                    };
-                    s.push_str(&format!("{name},histogram,{},{pct}\n", joined.join(";")));
-                }
-            }
-        }
-        s
-    }
 }
 
 /// The p50/p95/p99 summary of a histogram: for each percentile `p`, the
@@ -212,11 +189,7 @@ mod tests {
         let bus = json.find("sim.bus.utilization").unwrap();
         let miss = json.find("sim.cache.l2.miss").unwrap();
         assert!(bus < miss, "lexicographic export order");
-        let csv = r.to_csv();
-        assert!(csv.starts_with("name,type,value,p50,p95,p99\n"));
         // [5,3,1]: total 9 — p50 lands in bin 0 (5/9), p95/p99 in bin 2.
-        assert!(csv.contains("sim.cache.l2.mshr.read_occupancy,histogram,5;3;1,0,2,2"));
-        assert!(csv.contains("sim.cache.l2.miss,counter,10,,,"));
         assert!(json.contains("\"p50\": 0, \"p95\": 2, \"p99\": 2"));
         assert_eq!(r.len(), 3);
     }

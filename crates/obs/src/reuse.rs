@@ -4,7 +4,7 @@
 //! *analytic* inputs: every leading line touch of a regular reference
 //! misses, irregular references miss with a profiled `P_m`. This module
 //! measures locality instead. It computes **LRU stack distances** (reuse
-//! distances) over the simulator's dynamic-op stream — the number of
+//! distances) over a functional run's dynamic-op stream — the number of
 //! distinct cache lines touched between consecutive accesses to the same
 //! line — and converts the resulting histogram into per-array miss
 //! probabilities for each modeled cache level: for a fully-associative
@@ -24,13 +24,12 @@
 //! * A sampled distance `d` estimates a true distance `d / R`, because
 //!   the spatial filter thins the distinct-line count uniformly.
 //!
-//! Distances are tracked **per core**: each core's op stream is
-//! deterministic and identical across steppers and engines, so the
-//! profile is bit-stable wherever the tap is placed. All
-//! state lives in ordered structures (`BTreeMap`, a Fenwick tree over
-//! slot indices, a `BinaryHeap` popped to exhaustion) — iteration order
-//! never depends on hash-map layout, making reports reproducible
-//! byte-for-byte for a fixed seed.
+//! The profiler observes one op stream: the single-processor functional
+//! pre-pass behind `--locality measured`. All state lives in ordered
+//! structures (`BTreeMap`, a Fenwick tree over slot indices, a
+//! `BinaryHeap` popped to exhaustion) — iteration order never depends on
+//! hash-map layout, making reports reproducible byte-for-byte for a fixed
+//! seed.
 //!
 //! See DESIGN.md §12 for the algorithm walk-through and the overhead
 //! accounting in BENCH_sim.json.
@@ -43,7 +42,7 @@ use mempar_stats::{format_rows, Row};
 use mempar_transform::{innermost_loops, loop_at};
 
 use crate::json::escape_json;
-use crate::registry::{histogram_percentiles, MetricsRegistry};
+use crate::registry::histogram_percentiles;
 
 /// SplitMix64: a full-period 64-bit mixer; the profiler's spatial filter.
 fn splitmix64(mut x: u64) -> u64 {
@@ -59,13 +58,9 @@ pub struct ReuseConfig {
     /// Seed mixed into the spatial hash; two runs with the same seed
     /// produce byte-identical reports.
     pub seed: u64,
-    /// Bound on simultaneously monitored lines (the SHARDS reservoir,
-    /// shared across all cores). Cost per access is O(log max_samples).
+    /// Bound on simultaneously monitored lines (the SHARDS reservoir).
+    /// Cost per access is O(log max_samples).
     pub max_samples: usize,
-    /// Bound on retained [`ReuseSample`]s for the Perfetto counter
-    /// track; further samples still feed the histograms but are not
-    /// individually kept.
-    pub max_counter_samples: usize,
     /// Log2-distance histogram bins (bin `b > 0` covers scaled distances
     /// `[2^(b-1), 2^b)`, bin 0 is distance 0).
     pub hist_bins: usize,
@@ -76,7 +71,6 @@ impl Default for ReuseConfig {
         ReuseConfig {
             seed: 0x5eed_0ca1_175e_ed00,
             max_samples: 4096,
-            max_counter_samples: 1 << 16,
             hist_bins: 40,
         }
     }
@@ -95,25 +89,13 @@ pub struct ReuseLevel {
     pub lines: u64,
 }
 
-/// One retained sampled reuse event, for the Perfetto counter track.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReuseSample {
-    /// Simulated time (or op index, for pre-pass profiling) of the
-    /// access.
-    pub time: u64,
-    /// Core whose stream the access belongs to.
-    pub proc: u32,
-    /// Rate-corrected reuse distance in lines.
-    pub scaled_dist: u64,
-}
-
 /// One monitored line's bookkeeping inside a stream.
 #[derive(Debug, Clone, Copy)]
 struct SampledLine {
     slot: usize,
 }
 
-/// Per-core Olken state: recency order as slot indices (monotonically
+/// The stream's Olken state: recency order as slot indices (monotonically
 /// allocated, periodically compacted) with a Fenwick tree counting
 /// occupied slots, so "distinct monitored lines since last access" is
 /// two O(log n) operations.
@@ -227,53 +209,38 @@ impl ArrayAcc {
 
 /// The streaming reuse-distance profiler. Feed it every memory op with
 /// [`ReuseProfiler::observe`]; read the result with
-/// [`ReuseProfiler::report`] / [`ReuseProfiler::export_metrics`].
+/// [`ReuseProfiler::report`].
 #[derive(Debug)]
 pub struct ReuseProfiler {
     cfg: ReuseConfig,
     line_shift: u32,
     levels: Vec<ReuseLevel>,
-    streams: Vec<StreamState>,
-    /// Max-heap of (hash, line, stream) over all monitored lines.
-    heap: BinaryHeap<(u64, u64, u32)>,
-    live: usize,
+    stream: StreamState,
+    /// Max-heap of (hash, line) over all monitored lines.
+    heap: BinaryHeap<(u64, u64)>,
     threshold: u64,
     accesses: u64,
     sampled: u64,
     evictions: u64,
     arrays: Vec<ArrayAcc>,
-    samples: Vec<ReuseSample>,
-    samples_dropped: u64,
 }
 
 impl ReuseProfiler {
-    /// A profiler for `nstreams` cores over a program with `narrays`
-    /// arrays (index `narrays` is the "(other)" bucket for unattributed
-    /// addresses). `line_shift` is log2 of the line size the distances
-    /// are counted in; `levels` are the cache capacities to derive miss
-    /// probabilities for, innermost first.
-    pub fn new(
-        cfg: ReuseConfig,
-        line_shift: u32,
-        levels: Vec<ReuseLevel>,
-        narrays: usize,
-        nstreams: usize,
-    ) -> Self {
-        assert!(cfg.max_samples > 0 && cfg.hist_bins > 0 && nstreams > 0);
-        let cap = (4 * cfg.max_samples).max(64);
+    /// A profiler over a program with `narrays` arrays (index `narrays`
+    /// is the "(other)" bucket for unattributed addresses). `line_shift`
+    /// is log2 of the line size the distances are counted in; `levels`
+    /// are the cache capacities to derive miss probabilities for,
+    /// innermost first.
+    pub fn new(cfg: ReuseConfig, line_shift: u32, levels: Vec<ReuseLevel>, narrays: usize) -> Self {
+        assert!(cfg.max_samples > 0 && cfg.hist_bins > 0);
         ReuseProfiler {
             arrays: vec![ArrayAcc::new(cfg.hist_bins, levels.len()); narrays + 1],
-            streams: (0..nstreams)
-                .map(|_| StreamState::with_capacity(cap))
-                .collect(),
+            stream: StreamState::with_capacity((4 * cfg.max_samples).max(64)),
             heap: BinaryHeap::new(),
-            live: 0,
             threshold: u64::MAX,
             accesses: 0,
             sampled: 0,
             evictions: 0,
-            samples: Vec::new(),
-            samples_dropped: 0,
             cfg,
             line_shift,
             levels,
@@ -285,25 +252,9 @@ impl ReuseProfiler {
         self.threshold as f64 / 1.844_674_407_370_955_2e19
     }
 
-    /// Total accesses observed (sampled or not).
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Retained samples for the counter track.
-    pub fn samples(&self) -> &[ReuseSample] {
-        &self.samples
-    }
-
-    /// Consumes the profiler, returning the retained samples.
-    pub fn into_samples(self) -> Vec<ReuseSample> {
-        self.samples
-    }
-
-    /// Observes one memory access on core `proc` at simulated time (or
-    /// op index) `time`. `array` attributes the address to a program
-    /// array index (`None` → the "(other)" bucket).
-    pub fn observe(&mut self, proc: usize, time: u64, addr: u64, array: Option<usize>) {
+    /// Observes one memory access. `array` attributes the address to a
+    /// program array index (`None` → the "(other)" bucket).
+    pub fn observe(&mut self, addr: u64, array: Option<usize>) {
         self.accesses += 1;
         let ai = array
             .filter(|&a| a < self.arrays.len() - 1)
@@ -319,7 +270,7 @@ impl ReuseProfiler {
         let acc = &mut self.arrays[ai];
         acc.sampled += 1;
         acc.weight += weight;
-        let st = &mut self.streams[proc];
+        let st = &mut self.stream;
         if let Some(&SampledLine { slot }) = st.table.get(&line) {
             // Reuse: distance = monitored lines touched more recently.
             let dist = st.table.len() as u64 - st.prefix(slot);
@@ -334,15 +285,6 @@ impl ReuseProfiler {
                     acc.miss_weight[l] += weight;
                 }
             }
-            if self.samples.len() < self.cfg.max_counter_samples {
-                self.samples.push(ReuseSample {
-                    time,
-                    proc: proc as u32,
-                    scaled_dist: scaled,
-                });
-            } else {
-                self.samples_dropped += 1;
-            }
         } else {
             // Cold first touch of a monitored line: a compulsory miss at
             // every level.
@@ -352,9 +294,8 @@ impl ReuseProfiler {
             }
             let ns = st.place(line);
             st.table.insert(line, SampledLine { slot: ns });
-            self.heap.push((hash, line, proc as u32));
-            self.live += 1;
-            if self.live > self.cfg.max_samples {
+            self.heap.push((hash, line));
+            if st.table.len() > self.cfg.max_samples {
                 self.shrink();
             }
         }
@@ -363,53 +304,31 @@ impl ReuseProfiler {
     /// Evicts the largest-hash monitored line(s) and lowers the
     /// threshold to the evicted hash — the SHARDS fixed-size policy.
     fn shrink(&mut self) {
-        while self.live > self.cfg.max_samples {
-            let (hash, line, sp) = self.heap.pop().expect("live lines imply heap entries");
+        while self.stream.table.len() > self.cfg.max_samples {
+            let (hash, line) = self.heap.pop().expect("live lines imply heap entries");
             self.threshold = hash;
-            let st = &mut self.streams[sp as usize];
-            let e = st.table.remove(&line).expect("heap tracks resident lines");
-            st.vacate(e.slot);
-            self.live -= 1;
-            self.evictions += 1;
+            self.evict(line);
         }
         // Hash ties at the new threshold are no longer monitorable
         // (`hash < threshold` fails); drop them too so the reservoir
         // matches the filter exactly.
-        while let Some(&(hash, line, sp)) = self.heap.peek() {
+        while let Some(&(hash, line)) = self.heap.peek() {
             if hash < self.threshold {
                 break;
             }
             self.heap.pop();
-            let st = &mut self.streams[sp as usize];
-            let e = st.table.remove(&line).expect("heap tracks resident lines");
-            st.vacate(e.slot);
-            self.live -= 1;
-            self.evictions += 1;
+            self.evict(line);
         }
     }
 
-    /// Registers `sim.reuse.*` metrics: stream totals, the sampling
-    /// rate, and the aggregate log2-distance histogram with percentile
-    /// gauges (bin units; see [`histogram_percentiles`]).
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        reg.counter("sim.reuse.accesses", self.accesses);
-        reg.counter("sim.reuse.sampled", self.sampled);
-        reg.counter("sim.reuse.evictions", self.evictions);
-        reg.counter("sim.reuse.samples_dropped", self.samples_dropped);
-        reg.gauge("sim.reuse.sampling_rate", self.sampling_rate());
-        reg.gauge("sim.reuse.reservoir", self.live as f64);
-        let mut hist = vec![0u64; self.cfg.hist_bins];
-        for a in &self.arrays {
-            for (h, b) in hist.iter_mut().zip(&a.hist) {
-                *h += b;
-            }
-        }
-        if let Some([p50, p95, p99]) = histogram_percentiles(&hist) {
-            reg.gauge("sim.reuse.dist.p50", bin_rep(p50) as f64);
-            reg.gauge("sim.reuse.dist.p95", bin_rep(p95) as f64);
-            reg.gauge("sim.reuse.dist.p99", bin_rep(p99) as f64);
-        }
-        reg.histogram("sim.reuse.dist", &hist);
+    fn evict(&mut self, line: u64) {
+        let e = self
+            .stream
+            .table
+            .remove(&line)
+            .expect("heap tracks resident lines");
+        self.stream.vacate(e.slot);
+        self.evictions += 1;
     }
 
     /// Distills the run into a [`ReuseReport`]. `array_names` maps array
@@ -789,19 +708,19 @@ mod tests {
 
     /// Feed a line-index pattern (one access per line id, line size 64).
     fn feed(p: &mut ReuseProfiler, pattern: &[u64]) {
-        for (t, &l) in pattern.iter().enumerate() {
-            p.observe(0, t as u64, l << 6, Some(0));
+        for &l in pattern {
+            p.observe(l << 6, Some(0));
         }
     }
 
     #[test]
     fn exact_distances_without_sampling_pressure() {
-        let mut p = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l2", 2)]), 1, 1);
+        let mut p = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l2", 2)]), 1);
         // 0 1 2 0: the re-access to 0 has stack distance 2.
         feed(&mut p, &[0, 1, 2, 0]);
-        assert_eq!(p.accesses(), 4);
         assert!((p.sampling_rate() - 1.0).abs() < 1e-9);
         let rep = p.report(&["a".into()]);
+        assert_eq!(rep.accesses, 4);
         let a = &rep.arrays[0];
         assert_eq!(a.cold, 3);
         assert_eq!(a.sampled, 4);
@@ -812,7 +731,7 @@ mod tests {
         // accesses, 3 cold + 1 capacity miss -> p = 1.0.
         assert_eq!(a.miss_prob, vec![1.0]);
         // Immediate reuse is a hit: 0 0 at distance 0.
-        let mut p2 = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l2", 2)]), 1, 1);
+        let mut p2 = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l2", 2)]), 1);
         feed(&mut p2, &[0, 0, 1, 0]);
         let rep2 = p2.report(&["a".into()]);
         let a2 = &rep2.arrays[0];
@@ -826,7 +745,7 @@ mod tests {
         let n = 16u64;
         let pattern: Vec<u64> = (0..n).chain(0..n).collect();
         // Cache holds 64 lines: the second sweep (distance 15) hits.
-        let mut big = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l2", 64)]), 1, 1);
+        let mut big = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l2", 64)]), 1);
         feed(&mut big, &pattern);
         let rep = big.report(&["a".into()]);
         let a = &rep.arrays[0];
@@ -834,32 +753,12 @@ mod tests {
         assert!((a.miss_prob[0] - 0.5).abs() < 1e-12, "only compulsory");
         assert_eq!(a.p50, 8, "distance 15 bins to [8,16)");
         // Cache holds 8 lines: the same reuses all miss.
-        let mut small = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l2", 8)]), 1, 1);
+        let mut small = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l2", 8)]), 1);
         feed(&mut small, &pattern);
         let rep = small.report(&["a".into()]);
         assert_eq!(rep.arrays[0].miss_prob, vec![1.0]);
         // Measured L_m = accesses per miss = 1/1.0.
         assert!((rep.arrays[0].l_m - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn streams_are_independent() {
-        let mut p = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l2", 4)]), 1, 2);
-        // Core 0 re-accesses line 0 with one intervening line; core 1
-        // touches many lines in between, which must not dilate core 0's
-        // distance.
-        p.observe(0, 0, 0 << 6, Some(0));
-        for (t, l) in (100..180).enumerate() {
-            p.observe(1, t as u64, (l as u64) << 6, Some(0));
-        }
-        p.observe(0, 200, 1 << 6, Some(0));
-        p.observe(0, 201, 0 << 6, Some(0));
-        let rep = p.report(&["a".into()]);
-        let a = &rep.arrays[0];
-        // One reuse at distance 1 -> bin 1, a hit in a 4-line cache.
-        assert_eq!(a.hist[1], 1);
-        let misses = a.miss_prob[0] * a.sampled as f64;
-        assert!((misses - a.cold as f64).abs() < 1e-6, "reuse was a hit");
     }
 
     #[test]
@@ -879,7 +778,7 @@ mod tests {
         // reuse distance, so rounding under rate correction cannot flip
         // half the population across a boundary.
         let lv = levels(&[("l1", 64), ("l2", 2048)]);
-        let mut exact = ReuseProfiler::new(exact_cfg(), 6, lv.clone(), 1, 1);
+        let mut exact = ReuseProfiler::new(exact_cfg(), 6, lv.clone(), 1);
         feed(&mut exact, &pattern);
         let mut sampled = ReuseProfiler::new(
             ReuseConfig {
@@ -888,7 +787,6 @@ mod tests {
             },
             6,
             lv,
-            1,
             1,
         );
         feed(&mut sampled, &pattern);
@@ -917,7 +815,7 @@ mod tests {
             ..ReuseConfig::default()
         };
         let run = || {
-            let mut p = ReuseProfiler::new(cfg, 6, levels(&[("l2", 64)]), 1, 1);
+            let mut p = ReuseProfiler::new(cfg, 6, levels(&[("l2", 64)]), 1);
             feed(&mut p, &pattern);
             p.report(&["a".into()]).to_json()
         };
@@ -932,11 +830,10 @@ mod tests {
             6,
             levels(&[("l2", 64)]),
             1,
-            1,
         );
         feed(&mut other, &pattern);
         let op = other.report(&["a".into()]).arrays[0].miss_prob[0];
-        let mut base = ReuseProfiler::new(cfg, 6, levels(&[("l2", 64)]), 1, 1);
+        let mut base = ReuseProfiler::new(cfg, 6, levels(&[("l2", 64)]), 1);
         feed(&mut base, &pattern);
         let bp = base.report(&["a".into()]).arrays[0].miss_prob[0];
         assert!((op - bp).abs() < 0.2, "seed-robust estimate: {op} vs {bp}");
@@ -950,7 +847,7 @@ mod tests {
             max_samples: 16,
             ..ReuseConfig::default()
         };
-        let mut p = ReuseProfiler::new(cfg, 6, levels(&[("l2", 4)]), 1, 1);
+        let mut p = ReuseProfiler::new(cfg, 6, levels(&[("l2", 4)]), 1);
         let pattern: Vec<u64> = (0..500).map(|i| i % 2).collect();
         feed(&mut p, &pattern);
         let rep = p.report(&["a".into()]);
@@ -967,24 +864,21 @@ mod tests {
             max_samples: 8,
             ..ReuseConfig::default()
         };
-        let mut p = ReuseProfiler::new(cfg, 6, levels(&[("l2", 4)]), 1, 1);
+        let mut p = ReuseProfiler::new(cfg, 6, levels(&[("l2", 4)]), 1);
         feed(&mut p, &(0..10_000u64).collect::<Vec<_>>());
-        assert!(p.live <= 8);
-        assert!(p.evictions > 0);
+        assert!(p.stream.table.len() <= 8);
         assert!(p.sampling_rate() < 0.1, "rate {}", p.sampling_rate());
-        let mut reg = MetricsRegistry::new();
-        p.export_metrics(&mut reg);
-        assert_eq!(reg.counter_value("sim.reuse.accesses"), Some(10_000));
-        assert!(reg.get("sim.reuse.dist").is_some());
-        assert!(reg.get("sim.reuse.sampling_rate").is_some());
+        let rep = p.report(&["a".into()]);
+        assert_eq!(rep.accesses, 10_000);
+        assert!(rep.evictions > 0);
     }
 
     #[test]
     fn report_table_and_json_are_well_formed() {
-        let mut p = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l1", 4), ("l2", 64)]), 1, 1);
+        let mut p = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l1", 4), ("l2", 64)]), 1);
         feed(&mut p, &[0, 1, 2, 0, 1, 2, 50, 51]);
         // One unattributed access.
-        p.observe(0, 99, 1 << 40, None);
+        p.observe(1 << 40, None);
         let rep = p.report(&["a".into()]);
         assert_eq!(rep.arrays.len(), 2, "a plus (other)");
         assert_eq!(rep.arrays[1].name, "(other)");
@@ -1023,7 +917,7 @@ mod tests {
                 l_m: 50.0,
             },
         );
-        let mut prof = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l2", 1024)]), 1, 1);
+        let mut prof = ReuseProfiler::new(exact_cfg(), 6, levels(&[("l2", 1024)]), 1);
         feed(&mut prof, &(0..128u64).collect::<Vec<_>>());
         let report = prof.report(&["a".into()]);
         let delta = locality_delta(&prog, &m, &analytic, &measured, &report);

@@ -948,16 +948,7 @@ impl Core {
         // the first instruction that could not retire.
         let frac = self.frac_tab[retired as usize];
         self.breakdown.busy += frac;
-        let stall =
-            (retired < width && !self.halted).then(|| match self.rob.front().map(|e| e.op.kind) {
-                Some(OpKind::Load { .. }) => StallClass::DataMemory,
-                Some(OpKind::Store { .. } | OpKind::Prefetch { .. }) => StallClass::DataMemory,
-                Some(OpKind::Barrier { .. } | OpKind::FlagWait { .. } | OpKind::FlagSet { .. }) => {
-                    StallClass::Sync
-                }
-                Some(_) => StallClass::Cpu,
-                None => StallClass::Instruction,
-            });
+        let stall = (retired < width && !self.halted).then(|| self.head_stall_class());
         if let Some(class) = stall {
             self.breakdown.add_stall(class, 1.0 - frac);
         }
@@ -1097,16 +1088,24 @@ impl Core {
         if self.halted || span == 0 {
             return;
         }
-        let class = match self.rob.front().map(|e| e.op.kind) {
-            Some(OpKind::Load { .. }) => StallClass::DataMemory,
-            Some(OpKind::Store { .. } | OpKind::Prefetch { .. }) => StallClass::DataMemory,
+        self.breakdown
+            .add_stall(self.head_stall_class(), span as f64);
+    }
+
+    /// The class a cycle that cannot retire at full width is charged to:
+    /// the kind of the first instruction that could not retire, or
+    /// instruction stall on an empty window.
+    fn head_stall_class(&self) -> StallClass {
+        match self.rob.front().map(|e| e.op.kind) {
+            Some(OpKind::Load { .. } | OpKind::Store { .. } | OpKind::Prefetch { .. }) => {
+                StallClass::DataMemory
+            }
             Some(OpKind::Barrier { .. } | OpKind::FlagWait { .. } | OpKind::FlagSet { .. }) => {
                 StallClass::Sync
             }
             Some(_) => StallClass::Cpu,
             None => StallClass::Instruction,
-        };
-        self.breakdown.add_stall(class, span as f64);
+        }
     }
 
     /// The flag the head-of-window instruction is waiting on, if it is a

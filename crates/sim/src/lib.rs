@@ -82,7 +82,4 @@ pub use system::{
 // Observability types a traced run hands back (re-exported so harnesses
 // need not depend on `mempar-obs` directly for the common path).
 pub use mempar_ir::Engine;
-pub use mempar_obs::{
-    MetricsRegistry, ReuseConfig, ReuseLevel, ReuseProfiler, ReuseReport, ReuseSample, TraceEvent,
-    TraceEventKind, Tracer,
-};
+pub use mempar_obs::{MetricsRegistry, TraceEvent, TraceEventKind, Tracer};

@@ -645,7 +645,7 @@ impl MemSystem {
             let t = match txn.source {
                 DataSource::Memory => {
                     let t_mem = self.bank_access(home, line, t_acks);
-                    self.count_locality(proc, home, false);
+                    self.count_locality(proc, home);
                     self.leg_from_home(home, proc, line_bytes + 8, t_mem)
                 }
                 DataSource::CacheToCache { owner } => {
@@ -668,7 +668,7 @@ impl MemSystem {
                         }
                     }
                     let t_mem = self.bank_access(home, line, t_home);
-                    self.count_locality(proc, home, false);
+                    self.count_locality(proc, home);
                     self.leg_from_home(home, proc, line_bytes + 8, t_mem)
                 }
                 DataSource::CacheToCache { owner } => {
@@ -761,7 +761,7 @@ impl MemSystem {
         self.banks[idx].access(line, t);
     }
 
-    fn count_locality(&mut self, proc: usize, home: usize, _c2c: bool) {
+    fn count_locality(&mut self, proc: usize, home: usize) {
         if self.cfg.topology == Topology::Numa && proc != home {
             self.counters[proc].remote_misses += 1;
         } else {

@@ -151,7 +151,7 @@ pub(crate) fn event_loop(st: &mut DriverState) {
             let core = &mut st.cores[p];
             if !core.halted {
                 core.issue(&mut st.memsys, now);
-                fetch_stage(core, &mut st.interps[p], st.mem, now, &mut st.reuse);
+                fetch_stage(core, &mut st.interps[p], st.mem, now);
             }
         }
         // Deadlock diagnostics, matching the per-cycle driver. Retire

@@ -1,7 +1,7 @@
 //! The whole-system driver: cores + interpreters + memory system.
 
-use mempar_ir::{BytecodeProgram, Engine, Executor, Interp, Program, SimMem, Vm};
-use mempar_obs::{MetricsRegistry, ReuseProfiler, ReuseSample, TraceEvent, TraceEventKind, Tracer};
+use mempar_ir::{BytecodeProgram, Engine, Executor, Program, SimMem};
+use mempar_obs::{MetricsRegistry, TraceEvent, TraceEventKind, Tracer};
 use mempar_stats::{Breakdown, LatencyStat, MemCounters, MshrOccupancy, StallClass, Utilization};
 
 use crate::config::MachineConfig;
@@ -14,7 +14,7 @@ use crate::sync::SyncState;
 pub(crate) const DEADLOCK_WINDOW: u64 = 4_000_000;
 
 /// How the driver advances the simulated clock. Both steppers produce
-/// bit-identical results (the equality-cube tests assert this); they
+/// bit-identical results (`tests/oracle_matrix.rs` asserts this); they
 /// differ only in how much host work each simulated cycle costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stepper {
@@ -65,8 +65,8 @@ pub struct SimOptions {
     pub engine: Engine,
     /// Which coherence protocol drives the memory system's global
     /// transactions (see [`Protocol`]). Functional results and dynamic-op
-    /// streams are identical across protocols (the protocol cube asserts
-    /// this); only cycle counts move. Defaults to the paper's full-map
+    /// streams are identical across protocols (`tests/oracle_matrix.rs`
+    /// asserts this); only cycle counts move. Defaults to the paper's full-map
     /// directory.
     pub protocol: Protocol,
 }
@@ -156,7 +156,7 @@ pub fn run_program_with(
     cfg: &MachineConfig,
     opts: SimOptions,
 ) -> SimResult {
-    run_inner(prog, mem, cfg, opts, Tracer::disabled(), None).0
+    run_inner(prog, mem, cfg, opts, Tracer::disabled()).0
 }
 
 /// Everything the observability layer captures from one traced run (see
@@ -175,43 +175,24 @@ pub struct SimObservation {
     pub clock_mhz: u32,
     /// The run's wall clock in cycles (closes still-open trace spans).
     pub end_cycle: u64,
-    /// The drained reuse profiler, when the run was tapped with one:
-    /// build a [`mempar_obs::ReuseReport`] from it; its `sim.reuse.*`
-    /// metrics are already merged into [`Self::metrics`].
-    pub reuse: Option<ReuseProfiler>,
-}
-
-impl SimObservation {
-    /// Sampled reuse-distance events of the tapped run (empty when no
-    /// profiler was attached), exported as a Perfetto counter track.
-    pub fn reuse_samples(&self) -> &[ReuseSample] {
-        self.reuse.as_ref().map_or(&[], |r| r.samples())
-    }
 }
 
 /// [`run_program_with`], additionally recording structured trace events
-/// into `tracer` and collecting a metrics snapshot. With `reuse`, a
-/// [`ReuseProfiler`] taps the dynamic op stream at the fetch stage and
-/// comes back drained in [`SimObservation::reuse`]. The [`SimResult`] is
-/// bit-identical to an untraced, untapped run's (the observability and
-/// locality tests assert this): both only copy values the simulator
-/// already computes.
+/// into `tracer` and collecting a metrics snapshot. The [`SimResult`] is
+/// bit-identical to an untraced run's (the observability tests assert
+/// this): tracing only copies values the simulator already computes.
 pub fn run_program_observed(
     prog: &Program,
     mem: &mut SimMem,
     cfg: &MachineConfig,
     opts: SimOptions,
     tracer: Tracer,
-    reuse: Option<ReuseProfiler>,
 ) -> (SimResult, SimObservation) {
-    let (result, mut memsys, cores, reuse) = run_inner(prog, mem, cfg, opts, tracer, reuse);
+    let (result, mut memsys, cores) = run_inner(prog, mem, cfg, opts, tracer);
     let mut metrics = MetricsRegistry::new();
     memsys.export_metrics(result.cycles.max(1), &mut metrics);
     for core in &cores {
         core.export_metrics(&mut metrics);
-    }
-    if let Some(rp) = &reuse {
-        rp.export_metrics(&mut metrics);
     }
     let t = memsys.take_tracer();
     metrics.counter("sim.trace.events", t.len() as u64);
@@ -224,7 +205,6 @@ pub fn run_program_observed(
         line_shift: cfg.l2.line_bytes.trailing_zeros(),
         clock_mhz: cfg.proc.clock_mhz,
         end_cycle: result.cycles,
-        reuse,
     };
     (result, obs)
 }
@@ -241,9 +221,6 @@ pub(crate) struct DriverState<'m, 'p> {
     pub(crate) stall_state: Vec<Option<StallClass>>,
     pub(crate) tracing: bool,
     pub(crate) mem: &'m mut SimMem,
-    /// Reuse-distance profiler tapping the fetch-order address stream
-    /// (`None` in normal runs — the common path pays one branch).
-    pub(crate) reuse: Option<ReuseProfiler>,
 }
 
 /// Emits stall begin/end transitions for `core` from the retire stage's
@@ -273,27 +250,11 @@ pub(crate) fn trace_stall_transition(
 /// fetching a barrier or flag-wait must stop the group immediately, or
 /// later ops would be functionally evaluated before the synchronization
 /// they depend on.
-pub(crate) fn fetch_stage(
-    core: &mut Core,
-    interp: &mut Executor,
-    mem: &mut SimMem,
-    now: u64,
-    reuse: &mut Option<ReuseProfiler>,
-) {
+pub(crate) fn fetch_stage(core: &mut Core, interp: &mut Executor, mem: &mut SimMem, now: u64) {
     let mut fetched = 0;
     while fetched < core.fetch_room() {
         match interp.next_op(mem) {
             Some(op) => {
-                // Reuse-distance tap: observe the dynamic address stream in
-                // program (fetch) order, before `op` moves into the window.
-                // Pure observation — it never touches timing state, so a
-                // disabled profiler leaves the run bit-identical.
-                if let Some(rp) = reuse.as_mut() {
-                    if let Some(addr) = op.kind.addr() {
-                        let array = mem.array_of_addr(addr).map(|a| a.index());
-                        rp.observe(core.id, now, addr, array);
-                    }
-                }
                 core.fetch(op, now);
                 fetched += 1;
             }
@@ -325,8 +286,7 @@ fn run_inner(
     cfg: &MachineConfig,
     opts: SimOptions,
     tracer: Tracer,
-    reuse: Option<ReuseProfiler>,
-) -> (SimResult, MemSystem, Vec<Core>, Option<ReuseProfiler>) {
+) -> (SimResult, MemSystem, Vec<Core>) {
     cfg.validate();
     assert_eq!(
         mem.nprocs(),
@@ -349,15 +309,9 @@ fn run_inner(
         .collect();
     // One functional executor per core; the bytecode program is compiled
     // once and shared by every core's VM.
-    let bytecode = match opts.engine {
-        Engine::Bytecode => Some(BytecodeProgram::compile(prog)),
-        Engine::Interp => None,
-    };
+    let bytecode = (opts.engine == Engine::Bytecode).then(|| BytecodeProgram::compile(prog));
     let interps: Vec<Executor> = (0..nprocs)
-        .map(|p| match &bytecode {
-            Some(code) => Executor::Vm(Vm::new(code, p, nprocs)),
-            None => Executor::Interp(Interp::new(prog, p, nprocs)),
-        })
+        .map(|p| Executor::new(prog, bytecode.as_ref(), p, nprocs))
         .collect();
     let sync = SyncState::new(nprocs);
 
@@ -369,17 +323,13 @@ fn run_inner(
         stall_state,
         tracing,
         mem,
-        reuse,
     };
     match opts.stepper {
         Stepper::Strict => cycle_loop(&mut st),
         Stepper::Event => crate::sched::event_loop(&mut st),
     }
     let DriverState {
-        mut memsys,
-        cores,
-        reuse,
-        ..
+        mut memsys, cores, ..
     } = st;
 
     let wall = cores.iter().map(|c| c.halt_cycle).max().unwrap_or(0);
@@ -411,7 +361,7 @@ fn run_inner(
         bank_util: memsys.bank_utilization(wall.max(1)),
         clock_mhz: cfg.proc.clock_mhz,
     };
-    (result, memsys, cores, reuse)
+    (result, memsys, cores)
 }
 
 /// The per-cycle driver behind [`Stepper::Strict`]: every core runs
@@ -445,7 +395,7 @@ fn cycle_loop(st: &mut DriverState) {
             if core.halted {
                 continue;
             }
-            fetch_stage(core, interp, st.mem, now, &mut st.reuse);
+            fetch_stage(core, interp, st.mem, now);
         }
         // Deadlock diagnostics.
         let retired: u64 = st.cores.iter().map(|c| c.retired).sum();

@@ -184,13 +184,13 @@ fn cluster_nest(
                 cand = parent.parent();
                 continue;
             }
-            if !unrolling_adds_read_misses(prog, &an, pv) {
+            if !unrolling_adds_read_misses(&an, pv) {
                 reasons.push(format!("{pname}: adds only write/redundant misses"));
                 cand = parent.parent();
                 continue;
             }
             let target = an.target_f(m);
-            let degree = search_degree(prog, &parent, path, m, profile, target);
+            let degree = search_degree(prog, &parent, m, profile, target);
             if degree <= 1 {
                 reasons.push(format!("{pname}: no profitable degree"));
                 cand = parent.parent();
@@ -279,7 +279,6 @@ fn cluster_nest(
 fn search_degree(
     prog: &Program,
     parent: &NestPath,
-    inner: &NestPath,
     m: &MachineSummary,
     profile: &MissProfile,
     target: f64,
@@ -300,7 +299,6 @@ fn search_degree(
         cache.borrow_mut().insert(d, v);
         v
     };
-    let _ = inner;
     // Candidate degrees, ascending.
     let candidates: Vec<u32> = match loop_at(prog, parent) {
         Some(l) if l.dist.is_some() && m.procs > 1 => {
@@ -398,7 +396,7 @@ fn search_degree(
 /// (otherwise copies coalesce, or only writes are added — the paper's
 /// "we prefer not to unroll-and-jam loops that only expose additional
 /// write miss references").
-fn unrolling_adds_read_misses(_prog: &Program, an: &NestAnalysis, pv: mempar_ir::VarId) -> bool {
+fn unrolling_adds_read_misses(an: &NestAnalysis, pv: mempar_ir::VarId) -> bool {
     an.refs
         .leading()
         .any(|r| !r.is_write && ref_varies_with(&r.r, pv))
@@ -734,7 +732,7 @@ mod tests {
             })
             .expect("a feasible degree exists");
         assert_eq!(best, (7, 14.0), "premise drifted: {fs:?}");
-        let chosen = search_degree(&prog, &parent, &inner, &m, &profile, target);
+        let chosen = search_degree(&prog, &parent, &m, &profile, target);
         assert_eq!(
             chosen, best.0,
             "search must match the feasible argmax (profile {fs:?})"
@@ -769,7 +767,7 @@ mod tests {
                         _ => Some((d, f)),
                     },
                 );
-                let chosen = search_degree(&prog, &parent, &inner, &m, &profile, target);
+                let chosen = search_degree(&prog, &parent, &m, &profile, target);
                 if chosen > 1 {
                     let f_chosen = fs.iter().find(|(d, _)| *d == chosen).unwrap().1;
                     let best_f = best.expect("chosen>1 implies feasible").1;

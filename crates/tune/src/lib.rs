@@ -18,9 +18,10 @@
 //!    [`MissProfile`](mempar_analysis::MissProfile) the driver uses
 //!    (analytic or measured), and only the top few reach the simulator.
 //! 3. **Simulation scoring** ([`Tuner::tune_program`]): each distinct
-//!    candidate program is oracle-checked against the interpreter
-//!    (identical sequential and parallel-functional memory images) and
-//!    then timed, once per nest — a candidate `==` to the incumbent or
+//!    candidate program is oracle-checked by functional runs under
+//!    `TuneOptions::sim.engine` (the bytecode VM by default), which must
+//!    leave the base program's sequential and parallel-functional memory
+//!    images, and then timed, once per nest — a candidate `==` to the incumbent or
 //!    to an earlier sibling reuses that program's verdict. Scores are
 //!    memoized by *(trace digest, SimOptions, machine fingerprint)*
 //!    ([`ScoreMemo`]), looked up in candidate order so the hit/miss

@@ -6,10 +6,7 @@ use std::time::Instant;
 
 use mempar::machine_summary;
 use mempar_analysis::{analyze_inner_loop, MissProfile};
-use mempar_ir::{
-    run_parallel_functional_with, run_single_with, BytecodeProgram, Engine, Interp, Program,
-    SimMem, TraceDigest, Vm,
-};
+use mempar_ir::{digest_ops, run_parallel_functional_with, run_single_with, Program, SimMem};
 use mempar_sim::{run_program_with, MachineConfig, SimOptions};
 use mempar_transform::{cluster_program, innermost_loops, loop_at, NestPath};
 
@@ -289,28 +286,7 @@ impl Tuner {
     /// Drains every processor's dynamic-op stream into one digest on a
     /// fresh memory image — the memo key's program identity.
     fn digest(&self, prog: &Program, nprocs: usize, mem_at: MemFactory) -> u64 {
-        let mut mem = mem_at(nprocs);
-        let mut d = TraceDigest::new();
-        match self.opts.sim.engine {
-            Engine::Bytecode => {
-                let code = BytecodeProgram::compile(prog);
-                for pid in 0..nprocs {
-                    let mut vm = Vm::new(&code, pid, nprocs);
-                    while let Some(op) = vm.next_op(&mut mem) {
-                        d.absorb(&op);
-                    }
-                }
-            }
-            Engine::Interp => {
-                for pid in 0..nprocs {
-                    let mut it = Interp::new(prog, pid, nprocs);
-                    while let Some(op) = it.next_op(&mut mem) {
-                        d.absorb(&op);
-                    }
-                }
-            }
-        }
-        d.hash()
+        digest_ops(prog, &mut mem_at(nprocs), nprocs, self.opts.sim.engine).hash()
     }
 
     /// Functional-equivalence oracle: the candidate must leave the same

@@ -1,6 +1,6 @@
-//! Measured-locality gates: SHARDS sampling must be seed-stable, the
-//! fetch-stage reuse tap must never move a simulated cycle, analytic
-//! mode must stay byte-identical to the profiler-free seed path, and one
+//! Measured-locality gates: SHARDS sampling must be seed-stable,
+//! analytic mode must stay byte-identical to the profiler-free seed
+//! path, and one
 //! pinned Latbench configuration holds a golden predicted-vs-measured
 //! snapshot so the calibration format cannot drift silently.
 //!
@@ -11,10 +11,8 @@
 //! ```
 
 use mempar::{
-    calibrate_locality, run_pair_with, run_program_observed, run_program_with, sim_reuse_profiler,
-    Locality, MachineConfig, PairOptions, ReuseConfig, SimOptions,
+    calibrate_locality, run_pair_with, Locality, MachineConfig, PairOptions, ReuseConfig,
 };
-use mempar_sim::Tracer;
 use mempar_workloads::{latbench, App, LatbenchParams, Workload};
 
 /// The pinned configuration behind the golden snapshot. Do not change
@@ -61,50 +59,6 @@ fn sampling_is_seed_stable() {
     assert!(!report.arrays.is_empty());
     assert!(report.arrays.len() <= w.program.arrays.len() + 1);
     assert!(report.sampled > 0);
-}
-
-/// The in-sim fetch-stage tap is pure observation: a run with the
-/// profiler attached must report the bit-identical `SimResult` of an
-/// untapped run.
-#[test]
-fn reuse_tap_causes_zero_cycle_drift() {
-    for app in [App::Latbench, App::Erlebacher] {
-        let w = app.build(0.03);
-        let cfg = MachineConfig::base_simulated(1, w.l2_bytes);
-        let mut mem = w.memory(1);
-        let plain = run_program_with(&w.program, &mut mem, &cfg, SimOptions::default());
-        let mut mem = w.memory(1);
-        let (tapped, obs) = run_program_observed(
-            &w.program,
-            &mut mem,
-            &cfg,
-            SimOptions::default(),
-            Tracer::with_capacity(1 << 14),
-            Some(sim_reuse_profiler(&w.program, &cfg, ReuseConfig::default())),
-        );
-        let profiler = obs.reuse.as_ref().expect("tapped run returns its profiler");
-        assert_eq!(
-            format!("{plain:?}"),
-            format!("{tapped:?}"),
-            "{}: the reuse tap changed the simulation result",
-            app.name()
-        );
-        assert!(
-            profiler.accesses() > 0,
-            "{}: tap saw no accesses",
-            app.name()
-        );
-        assert!(
-            !obs.reuse_samples().is_empty(),
-            "{}: no counter-track samples",
-            app.name()
-        );
-        assert!(
-            obs.metrics.counter_value("sim.reuse.accesses").is_some(),
-            "{}: sim.reuse.* metrics missing",
-            app.name()
-        );
-    }
 }
 
 /// `--locality analytic` (the default) is the profiler-free path: the

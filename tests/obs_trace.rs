@@ -43,7 +43,6 @@ fn observed_run(w: &Workload, stepper: Stepper) -> (String, SimObservation) {
             ..SimOptions::default()
         },
         Tracer::with_capacity(1 << 16),
-        None,
     );
     (format!("{r:?}"), obs)
 }
@@ -90,8 +89,7 @@ fn tracing_is_invisible_in_results() {
 
 /// The pair experiment with tracing on must return the `RunPair` of the
 /// untraced pipeline, bit for bit (through `Debug`), under both locality
-/// models and on a uniprocessor and a 4-processor machine — in measured
-/// mode the in-sim reuse tap rides along with the tracer.
+/// models and on a uniprocessor and a 4-processor machine.
 #[test]
 fn pair_tracing_is_invisible_in_results() {
     let w = App::Lu.build(0.02);
@@ -118,11 +116,6 @@ fn pair_tracing_is_invisible_in_results() {
             assert!(
                 !clustered.obs.trace.is_empty(),
                 "{ctx}: no clustered events"
-            );
-            assert_eq!(
-                locality == Locality::Measured,
-                !base.obs.reuse_samples().is_empty(),
-                "{ctx}: the reuse tap rides along exactly in measured mode"
             );
             assert_eq!(
                 format!("{:?}", plain.pair),
@@ -199,7 +192,6 @@ fn golden_trace_json() -> String {
         pid: 0,
         events: &obs.trace,
         end_cycle: obs.end_cycle,
-        reuse: obs.reuse_samples(),
     }];
     chrome_trace_json(&runs, obs.clock_mhz)
 }

@@ -25,9 +25,7 @@
 //! between directory and MESI).
 
 use mempar_difftest::{corpus_seeds, gen_spec, materialize, PINNED_GEN_SEEDS};
-use mempar_ir::{
-    run_parallel_functional_with, BytecodeProgram, Interp, Program, SimMem, TraceDigest, Vm,
-};
+use mempar_ir::{digest_ops, run_parallel_functional_with, Program, SimMem, TraceDigest};
 use mempar_sim::{
     run_program_observed, run_program_with, Engine, MachineConfig, Protocol, SimOptions, SimResult,
     Stepper, Tracer,
@@ -105,7 +103,7 @@ fn run_leg(s: &Subject, opts: SimOptions, traced: bool) -> (SimResult, u64) {
     let mut mem = s.mem.clone();
     let r = if traced {
         let tracer = Tracer::with_capacity(1 << 16);
-        run_program_observed(&s.prog, &mut mem, &cfg, opts, tracer, None).0
+        run_program_observed(&s.prog, &mut mem, &cfg, opts, tracer).0
     } else {
         run_program_with(&s.prog, &mut mem, &cfg, opts)
     };
@@ -116,22 +114,7 @@ fn run_leg(s: &Subject, opts: SimOptions, traced: bool) -> (SimResult, u64) {
 /// order-sensitive digest and the final memory fingerprint.
 fn drain(s: &Subject, engine: Engine) -> (TraceDigest, u64) {
     let mut mem = s.mem.clone();
-    let mut digest = TraceDigest::new();
-    match engine {
-        Engine::Interp => {
-            let mut interp = Interp::new(&s.prog, 0, 1);
-            while let Some(op) = interp.next_op(&mut mem) {
-                digest.absorb(&op);
-            }
-        }
-        Engine::Bytecode => {
-            let code = BytecodeProgram::compile(&s.prog);
-            let mut vm = Vm::new(&code, 0, 1);
-            while let Some(op) = vm.next_op(&mut mem) {
-                digest.absorb(&op);
-            }
-        }
-    }
+    let digest = digest_ops(&s.prog, &mut mem, 1, engine);
     (digest, mem.fingerprint())
 }
 
