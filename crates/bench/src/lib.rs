@@ -29,7 +29,6 @@ use mempar::{
     DEFAULT_TRACE_CAPACITY,
 };
 use mempar_obs::escape_json;
-use mempar_stats::MshrOccupancy;
 use mempar_workloads::{App, Workload};
 
 /// Harness log verbosity. Progress lines go to stderr at `Info` and
@@ -548,295 +547,6 @@ pub fn scaled_l2(base_bytes: usize, scale: f64) -> usize {
     size
 }
 
-/// One simulator-throughput measurement for `BENCH_sim.json`: how many
-/// simulated cycles an experiment covered and how long that took on the
-/// host.
-#[derive(Debug, Clone)]
-pub struct SimBenchRecord {
-    /// Experiment name (e.g. `latbench-up`).
-    pub experiment: String,
-    /// Driver mode: `strict-cycle` / `event` (bytecode engine, named by
-    /// stepper), `tree-walk` (interpreter engine, event stepper), or
-    /// `event-mesi` / `event-moesi` / `event-dragon` (event stepper
-    /// under an alternative coherence protocol — these have their own
-    /// cycle counts, so they stay out of the cross-mode cycle-equality
-    /// assertion).
-    pub mode: String,
-    /// Simulated cycles covered (summed over the experiment's runs).
-    pub cycles: u64,
-    /// Simulated processors in the run. Occupancy histograms aggregate
-    /// across all of them, so their `cycles` field is `cores ×
-    /// (wall cycles + 1)` — the JSON carries the per-core normalization.
-    pub cores: usize,
-    /// Host wall-clock seconds spent simulating.
-    pub wall_seconds: f64,
-    /// Merged L2 MSHR occupancy histogram of the run, when recorded.
-    pub occupancy: Option<MshrOccupancy>,
-}
-
-impl SimBenchRecord {
-    /// Simulated cycles per host second.
-    pub fn cycles_per_sec(&self) -> f64 {
-        self.cycles as f64 / self.wall_seconds.max(1e-12)
-    }
-}
-
-/// One isolated front-end measurement for `BENCH_sim.json`: draining the
-/// full dynamic-op stream with no timing model attached. A simulated
-/// run spends most of its host time in the timing model, so the
-/// end-to-end `engine_speedup` sits near 1 by Amdahl's law; the drain is
-/// where the engine swap itself is visible (DESIGN.md §9b).
-#[derive(Debug, Clone)]
-pub struct FrontendBenchRecord {
-    /// Experiment name (matches the simulated records).
-    pub experiment: String,
-    /// Dynamic ops in one full drain of the stream.
-    pub ops: u64,
-    /// Host seconds for one tree-walking-interpreter drain.
-    pub interp_seconds: f64,
-    /// Host seconds for one bytecode-VM drain.
-    pub bytecode_seconds: f64,
-}
-
-impl FrontendBenchRecord {
-    /// Interpreter-vs-VM speedup of the isolated front-end.
-    pub fn speedup(&self) -> f64 {
-        self.interp_seconds / self.bytecode_seconds.max(1e-12)
-    }
-}
-
-/// One measured-locality overhead measurement for `BENCH_sim.json`: what
-/// the sampled reuse-distance pre-pass (`measure_locality`) costs against
-/// a plain interpreter drain of the same op stream.
-#[derive(Debug, Clone)]
-pub struct LocalityBenchRecord {
-    /// Experiment name (matches the simulated records).
-    pub experiment: String,
-    /// Dynamic memory accesses seen by the pre-pass profiler.
-    pub accesses: u64,
-    /// SHARDS sampling rate the pre-pass settled on.
-    pub sampling_rate: f64,
-    /// Accesses the pre-pass actually monitored (Olken updates).
-    pub sampled: u64,
-    /// Host seconds for one plain interpreter drain (no profiler).
-    pub drain_seconds: f64,
-    /// Host seconds for one `measure_locality` pre-pass (drain + profiler).
-    pub prepass_seconds: f64,
-}
-
-impl LocalityBenchRecord {
-    /// Pre-pass cost over a plain functional drain (1.0 = free).
-    pub fn prepass_overhead(&self) -> f64 {
-        self.prepass_seconds / self.drain_seconds.max(1e-12)
-    }
-}
-
-/// One autotuner measurement for `BENCH_sim.json`: simulated cycles of
-/// the untransformed program, of the paper-default clustering driver's
-/// output, and of the composition tuner's winner (DESIGN.md §13), plus
-/// the search totals. The headline column is `tuned_vs_default` —
-/// how much the empirical search buys over the paper's analytic recipe.
-#[derive(Debug, Clone)]
-pub struct TuneBenchRecord {
-    /// Experiment name (e.g. `latbench-up`).
-    pub experiment: String,
-    /// Simulated cycles of the untransformed program.
-    pub base_cycles: u64,
-    /// Simulated cycles of the default clustering driver's output.
-    pub default_cycles: u64,
-    /// Simulated cycles of the tuner's winner (≤ both by construction).
-    pub tuned_cycles: u64,
-    /// Which source won: `search`, `default-driver`, or `base`.
-    pub winner: String,
-    /// Compositions surviving constraint propagation.
-    pub enumerated: u64,
-    /// Candidates the simulator actually scored.
-    pub scored: u64,
-    /// Host wall-clock seconds the whole search took.
-    pub wall_seconds: f64,
-}
-
-impl TuneBenchRecord {
-    /// A record from a finished tune report.
-    pub fn from_report(report: &mempar_tune::TuneReport, wall_seconds: f64) -> Self {
-        TuneBenchRecord {
-            experiment: report.name.clone(),
-            base_cycles: report.base_cycles,
-            default_cycles: report.default_cycles,
-            tuned_cycles: report.tuned_cycles,
-            winner: report.winner.clone(),
-            enumerated: report.stats.enumerated,
-            scored: report.stats.scored,
-            wall_seconds,
-        }
-    }
-
-    /// `default_cycles / tuned_cycles` (>1 = the search beat the paper
-    /// recipe; never <1).
-    pub fn tuned_vs_default(&self) -> f64 {
-        self.default_cycles as f64 / self.tuned_cycles.max(1) as f64
-    }
-
-    /// `base_cycles / tuned_cycles` (>1 = faster than untransformed).
-    pub fn tuned_vs_base(&self) -> f64 {
-        self.base_cycles as f64 / self.tuned_cycles.max(1) as f64
-    }
-}
-
-/// The occupancy histogram JSON with the explicit `cores` count and the
-/// per-core normalization spliced in: the raw `cycles` field aggregates
-/// samples across every processor (`cores × (wall cycles + 1)`), which
-/// reads confusingly against the experiment's cycle count, so
-/// `cycles_per_core` carries the per-processor sample count alongside.
-fn occupancy_json(o: &MshrOccupancy, cores: usize) -> String {
-    let base = o.to_json();
-    let body = base.strip_prefix('{').unwrap_or(&base);
-    format!(
-        "{{\"cores\": {}, \"cycles_per_core\": {}, {}",
-        cores,
-        o.cycles() / cores.max(1) as u64,
-        body
-    )
-}
-
-/// Serializes the records (plus per-experiment event-vs-strict and
-/// bytecode-vs-tree-walk speedups, the isolated
-/// front-end drain measurements, the measured-locality profiler
-/// overhead legs, and the composition-tuner `tuned_vs_default` legs) as
-/// the `BENCH_sim.json` document. Hand-rolled JSON: the offline build
-/// has no serde.
-pub fn bench_sim_json(
-    scale: f64,
-    records: &[SimBenchRecord],
-    frontend: &[FrontendBenchRecord],
-    locality: &[LocalityBenchRecord],
-    tune: &[TuneBenchRecord],
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"scale\": {scale},\n"));
-    s.push_str("  \"experiments\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let occupancy = match &r.occupancy {
-            Some(o) => format!(", \"mshr_occupancy\": {}", occupancy_json(o, r.cores)),
-            None => String::new(),
-        };
-        s.push_str(&format!(
-            "    {{\"experiment\": \"{}\", \"mode\": \"{}\", \"cycles\": {}, \"cores\": {}, \"wall_seconds\": {:.6}, \"cycles_per_sec\": {:.1}{}}}{}\n",
-            r.experiment,
-            r.mode,
-            r.cycles,
-            r.cores,
-            r.wall_seconds,
-            r.cycles_per_sec(),
-            occupancy,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n  \"speedups\": [\n");
-    let find = |experiment: &str, mode: &str| {
-        records
-            .iter()
-            .find(|s| s.experiment == experiment && s.mode == mode)
-    };
-    let mut lines = Vec::new();
-    for r in records.iter().filter(|r| r.mode == "event") {
-        let mut fields = vec![format!("\"experiment\": \"{}\"", r.experiment)];
-        let ratio_vs = |base: &SimBenchRecord, leg: &SimBenchRecord| {
-            leg.cycles_per_sec() / base.cycles_per_sec().max(1e-12)
-        };
-        if let Some(strict) = find(&r.experiment, "strict-cycle") {
-            fields.push(format!("\"event_vs_strict\": {:.2}", ratio_vs(strict, r)));
-        }
-        if let Some(tree) = find(&r.experiment, "tree-walk") {
-            fields.push(format!("\"engine_speedup\": {:.2}", ratio_vs(tree, r)));
-        }
-        // What each coherence machine costs relative to the directory
-        // baseline, in simulated cycles (not host throughput).
-        for (col, mode) in [
-            ("mesi_cycles_vs_directory", "event-mesi"),
-            ("moesi_cycles_vs_directory", "event-moesi"),
-            ("dragon_cycles_vs_directory", "event-dragon"),
-        ] {
-            if let Some(leg) = find(&r.experiment, mode) {
-                fields.push(format!(
-                    "\"{col}\": {:.3}",
-                    leg.cycles as f64 / r.cycles.max(1) as f64
-                ));
-            }
-        }
-        if let Some(f) = frontend.iter().find(|f| f.experiment == r.experiment) {
-            fields.push(format!("\"frontend_speedup\": {:.2}", f.speedup()));
-        }
-        if let Some(l) = locality.iter().find(|l| l.experiment == r.experiment) {
-            fields.push(format!(
-                "\"reuse_prepass_overhead\": {:.2}",
-                l.prepass_overhead()
-            ));
-        }
-        if let Some(t) = tune.iter().find(|t| t.experiment == r.experiment) {
-            fields.push(format!("\"tuned_vs_default\": {:.3}", t.tuned_vs_default()));
-        }
-        if fields.len() > 1 {
-            lines.push(format!("    {{{}}}", fields.join(", ")));
-        }
-    }
-    s.push_str(&lines.join(",\n"));
-    s.push_str("\n  ],\n  \"frontend\": [\n");
-    let flines: Vec<String> = frontend
-        .iter()
-        .map(|f| {
-            format!(
-                "    {{\"experiment\": \"{}\", \"ops\": {}, \"interp_ns_per_op\": {:.2}, \"bytecode_ns_per_op\": {:.2}, \"frontend_speedup\": {:.2}}}",
-                f.experiment,
-                f.ops,
-                f.interp_seconds * 1e9 / f.ops.max(1) as f64,
-                f.bytecode_seconds * 1e9 / f.ops.max(1) as f64,
-                f.speedup()
-            )
-        })
-        .collect();
-    s.push_str(&flines.join(",\n"));
-    s.push_str("\n  ],\n  \"locality\": [\n");
-    let llines: Vec<String> = locality
-        .iter()
-        .map(|l| {
-            format!(
-                "    {{\"experiment\": \"{}\", \"accesses\": {}, \"sampling_rate\": {:.6}, \"sampled\": {}, \"drain_ns_per_access\": {:.2}, \"prepass_ns_per_access\": {:.2}, \"prepass_overhead\": {:.2}}}",
-                l.experiment,
-                l.accesses,
-                l.sampling_rate,
-                l.sampled,
-                l.drain_seconds * 1e9 / l.accesses.max(1) as f64,
-                l.prepass_seconds * 1e9 / l.accesses.max(1) as f64,
-                l.prepass_overhead()
-            )
-        })
-        .collect();
-    s.push_str(&llines.join(",\n"));
-    s.push_str("\n  ],\n  \"tune\": [\n");
-    let tlines: Vec<String> = tune
-        .iter()
-        .map(|t| {
-            format!(
-                "    {{\"experiment\": \"{}\", \"base_cycles\": {}, \"default_cycles\": {}, \"tuned_cycles\": {}, \"winner\": \"{}\", \"tuned_vs_default\": {:.3}, \"tuned_vs_base\": {:.3}, \"enumerated\": {}, \"scored\": {}, \"wall_seconds\": {:.6}}}",
-                t.experiment,
-                t.base_cycles,
-                t.default_cycles,
-                t.tuned_cycles,
-                t.winner,
-                t.tuned_vs_default(),
-                t.tuned_vs_base(),
-                t.enumerated,
-                t.scored,
-                t.wall_seconds
-            )
-        })
-        .collect();
-    s.push_str(&tlines.join(",\n"));
-    s.push_str("\n  ]\n}\n");
-    s
-}
-
 /// Times `f`, returning its result and the elapsed wall seconds.
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t = std::time::Instant::now();
@@ -884,78 +594,5 @@ mod tests {
     fn log_levels_order() {
         assert!(LogLevel::Quiet < LogLevel::Info);
         assert!(LogLevel::Info < LogLevel::Debug);
-    }
-
-    #[test]
-    fn bench_json_embeds_occupancy() {
-        // Two cores' worth of aggregated samples: the JSON must carry
-        // the explicit core count and the per-core normalization.
-        let mut occ = MshrOccupancy::new(2);
-        occ.sample(1, 2);
-        occ.sample(1, 1);
-        let records = vec![
-            SimBenchRecord {
-                experiment: "fft-mp".into(),
-                mode: "event".into(),
-                cycles: 1000,
-                cores: 2,
-                wall_seconds: 0.5,
-                occupancy: Some(occ),
-            },
-            SimBenchRecord {
-                experiment: "fft-mp".into(),
-                mode: "strict-cycle".into(),
-                cycles: 1000,
-                cores: 2,
-                wall_seconds: 1.0,
-                occupancy: None,
-            },
-        ];
-        let frontend = vec![FrontendBenchRecord {
-            experiment: "fft-mp".into(),
-            ops: 10_000,
-            interp_seconds: 0.3,
-            bytecode_seconds: 0.2,
-        }];
-        let locality = vec![LocalityBenchRecord {
-            experiment: "fft-mp".into(),
-            accesses: 8_000,
-            sampling_rate: 0.125,
-            sampled: 1_000,
-            drain_seconds: 0.10,
-            prepass_seconds: 0.15,
-        }];
-        let tune = vec![TuneBenchRecord {
-            experiment: "fft-mp".into(),
-            base_cycles: 1200,
-            default_cycles: 1000,
-            tuned_cycles: 800,
-            winner: "search".into(),
-            enumerated: 40,
-            scored: 16,
-            wall_seconds: 0.75,
-        }];
-        let json = bench_sim_json(0.1, &records, &frontend, &locality, &tune);
-        assert!(json.contains("\"mshr_occupancy\""));
-        assert!(json.contains("\"mean_read_occupancy\""));
-        assert!(json.contains("\"cores\": 2"));
-        assert!(json.contains("\"cycles_per_core\": 1"));
-        assert!(json.contains("\"event_vs_strict\": 2.00"));
-        assert!(json.contains("\"frontend_speedup\": 1.50"));
-        assert!(json.contains("\"interp_ns_per_op\""));
-        assert!(json.contains("\"prepass_overhead\": 1.50"));
-        assert!(json.contains("\"reuse_prepass_overhead\": 1.50"));
-        assert!(json.contains("\"sampling_rate\": 0.125000"));
-        // The tune leg lands both as its own record and as the
-        // headline column on the experiment's speedups row.
-        assert!(json.contains("\"tuned_vs_default\": 1.250"));
-        assert!(json.contains("\"tuned_vs_base\": 1.500"));
-        assert!(json.contains("\"winner\": \"search\""));
-        mempar_obs::validate_json(&json).expect("BENCH_sim.json must stay valid JSON");
-
-        // No frontend/locality/tune records must still serialize as
-        // valid JSON.
-        let json = bench_sim_json(0.1, &records, &[], &[], &[]);
-        mempar_obs::validate_json(&json).expect("frontend-less BENCH_sim.json must stay valid");
     }
 }

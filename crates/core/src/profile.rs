@@ -6,21 +6,22 @@
 //! rates, which [`MissProfile`] then supplies to the analysis.
 
 use mempar_analysis::{ArrayLocality, MissProfile};
-use mempar_ir::{ArrayId, Interp, OpKind, Program, SimMem};
+use mempar_ir::{ArrayId, BytecodeProgram, OpKind, Program, SimMem, Vm};
 use mempar_obs::{ReuseConfig, ReuseLevel, ReuseProfiler, ReuseReport};
 use mempar_sim::{CacheParams, LineState, MachineConfig, TagArray};
 
-/// Runs `prog` functionally on one processor and measures per-array miss
-/// rates in a cache of the given geometry. The memory image is consumed
-/// (callers profile on a scratch copy).
+/// Runs `prog` functionally on one processor (on the bytecode VM) and
+/// measures per-array miss rates in a cache of the given geometry. The
+/// memory image is consumed (callers profile on a scratch copy).
 pub fn profile_miss_rates(prog: &Program, mem: &mut SimMem, cache: &CacheParams) -> MissProfile {
     let mut tags = TagArray::new(cache);
     let shift = cache.line_bytes.trailing_zeros();
     let narrays = prog.arrays.len();
     let mut accesses = vec![0u64; narrays];
     let mut misses = vec![0u64; narrays];
-    let mut interp = Interp::new(prog, 0, 1);
-    while let Some(op) = interp.next_op(mem) {
+    let code = BytecodeProgram::compile(prog);
+    let mut vm = Vm::new(&code, 0, 1);
+    while let Some(op) = vm.next_op(mem) {
         let (addr, is_write) = match op.kind {
             OpKind::Load { addr } => (addr, false),
             OpKind::Store { addr } => (addr, true),
@@ -77,12 +78,13 @@ pub fn reuse_levels(cfg: &MachineConfig) -> Vec<ReuseLevel> {
 }
 
 /// The measured-locality pre-pass behind `--locality measured`: runs
-/// `prog` functionally on one processor, feeds its data references
-/// through the sampled reuse-distance profiler, and distills the result
-/// into a [`MissProfile`] carrying per-array measured miss probabilities
-/// (`set` for irregular `P_m`, `set_measured` for the regular-reference
-/// per-line model) plus the full [`ReuseReport`]. The memory image is
-/// consumed (callers profile on a scratch copy).
+/// `prog` functionally on one processor (on the bytecode VM), feeds its
+/// data references through the sampled reuse-distance profiler, and
+/// distills the result into a [`MissProfile`] carrying per-array
+/// measured miss probabilities (`set` for irregular `P_m`,
+/// `set_measured` for the regular-reference per-line model) plus the
+/// full [`ReuseReport`]. The memory image is consumed (callers profile
+/// on a scratch copy).
 pub fn measure_locality(
     prog: &Program,
     mem: &mut SimMem,
@@ -96,8 +98,9 @@ pub fn measure_locality(
         reuse_levels(cfg),
         prog.arrays.len(),
     );
-    let mut interp = Interp::new(prog, 0, 1);
-    while let Some(op) = interp.next_op(mem) {
+    let code = BytecodeProgram::compile(prog);
+    let mut vm = Vm::new(&code, 0, 1);
+    while let Some(op) = vm.next_op(mem) {
         if let Some(addr) = op.kind.addr() {
             profiler.observe(addr, mem.array_of_addr(addr).map(|a| a.index()));
         }

@@ -49,8 +49,6 @@ pub enum HomePolicy {
     /// codes use so that block-distributed loops touch mostly local data.
     #[default]
     BlockPerArray,
-    /// Pages round-robin across nodes.
-    PageInterleave,
     /// Everything homed at node 0 (an SMP with one memory, or the Exemplar
     /// hypernode where placement is not distinguished).
     Centralized,
@@ -243,31 +241,6 @@ impl SimMem {
             policy: self.policy,
         }
     }
-
-    /// The NUMA home node of `addr` under this layout's policy.
-    pub fn home_node(&self, addr: u64) -> usize {
-        if self.nprocs == 1 {
-            return 0;
-        }
-        match self.policy {
-            HomePolicy::Centralized => 0,
-            HomePolicy::PageInterleave => ((addr / PAGE_BYTES) as usize) % self.nprocs,
-            HomePolicy::BlockPerArray => {
-                // Find the containing region; binary search over sorted bases.
-                let idx = match self.regions.binary_search_by(|r| r.base.cmp(&addr)) {
-                    Ok(i) => i,
-                    Err(0) => return 0,
-                    Err(i) => i - 1,
-                };
-                let r = &self.regions[idx];
-                if addr >= r.base + r.bytes {
-                    return 0;
-                }
-                let chunk = (r.bytes / self.nprocs as u64).max(PAGE_BYTES);
-                (((addr - r.base) / chunk) as usize).min(self.nprocs - 1)
-            }
-        }
-    }
 }
 
 fn round_up(x: u64, align: u64) -> u64 {
@@ -283,15 +256,14 @@ pub struct HomeMap {
 }
 
 impl HomeMap {
-    /// The NUMA home node of `addr` (same result as
-    /// [`SimMem::home_node`] on the originating layout).
+    /// The NUMA home node of `addr` under the originating layout's
+    /// policy.
     pub fn home_node(&self, addr: u64) -> usize {
         if self.nprocs == 1 {
             return 0;
         }
         match self.policy {
             HomePolicy::Centralized => 0,
-            HomePolicy::PageInterleave => ((addr / PAGE_BYTES) as usize) % self.nprocs,
             HomePolicy::BlockPerArray => {
                 let idx = match self.regions.binary_search_by(|&(b, _)| b.cmp(&addr)) {
                     Ok(i) => i,
@@ -379,36 +351,25 @@ mod tests {
     fn home_block_per_array_splits_evenly() {
         let p = prog_with_arrays(&[&[1 << 16]]); // 512 KB
         let m = SimMem::with_policy(&p, 4, HomePolicy::BlockPerArray);
+        let home = m.home_map();
         let a = ArrayId::from_raw(0);
-        let first = m.home_node(m.elem_addr(a, 0));
-        let last = m.home_node(m.elem_addr(a, (1 << 16) - 1));
+        let first = home.home_node(m.elem_addr(a, 0));
+        let last = home.home_node(m.elem_addr(a, (1 << 16) - 1));
         assert_eq!(first, 0);
         assert_eq!(last, 3);
         // Monotone nondecreasing across the array.
         let mut prev = 0;
         for i in (0..(1 << 16)).step_by(997) {
-            let h = m.home_node(m.elem_addr(a, i));
+            let h = home.home_node(m.elem_addr(a, i));
             assert!(h >= prev);
             prev = h;
         }
     }
 
     #[test]
-    fn home_page_interleave_cycles() {
-        let p = prog_with_arrays(&[&[1 << 14]]);
-        let m = SimMem::with_policy(&p, 4, HomePolicy::PageInterleave);
-        let a = ArrayId::from_raw(0);
-        let base_page = m.base(a) / PAGE_BYTES;
-        let h0 = m.home_node(m.base(a));
-        assert_eq!(h0, (base_page as usize) % 4);
-        let h1 = m.home_node(m.base(a) + PAGE_BYTES);
-        assert_eq!(h1, (h0 + 1) % 4);
-    }
-
-    #[test]
     fn home_uniprocessor_is_zero() {
         let p = prog_with_arrays(&[&[64]]);
-        let m = SimMem::with_policy(&p, 1, HomePolicy::PageInterleave);
-        assert_eq!(m.home_node(m.base(ArrayId::from_raw(0))), 0);
+        let m = SimMem::with_policy(&p, 1, HomePolicy::BlockPerArray);
+        assert_eq!(m.home_map().home_node(m.base(ArrayId::from_raw(0))), 0);
     }
 }

@@ -14,8 +14,8 @@
 //! * the stepper, execution engine, and coherence protocol from
 //!   [`SimOptions`] — equal digests under *different* options must
 //!   never share a score;
-//! * a fingerprint of the [`MachineConfig`] (cache geometry, window,
-//!   MSHRs, processor count, topology).
+//! * a fingerprint of the whole [`MachineConfig`] (caches, core,
+//!   memory, bus, mesh, processor count, topology).
 //!
 //! Each entry remembers the options signature it was inserted under and
 //! every lookup asserts it matches — a collision between different
@@ -44,22 +44,11 @@ pub fn opts_signature(opts: SimOptions) -> String {
     format!("{:?}/{:?}/{:?}", opts.stepper, opts.engine, opts.protocol).to_lowercase()
 }
 
-/// Stable fingerprint of the score-relevant [`MachineConfig`] knobs.
+/// Stable fingerprint of the whole [`MachineConfig`]: a hash of its
+/// `Debug` rendering, so every field that can move a simulated cycle
+/// count (caches, core, memory banks, bus, mesh, topology) re-keys.
 pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
-    fnv(format!(
-        "{}|{}|{:?}|{}|{}|{}|{}|{}|{}|{}",
-        cfg.name,
-        cfg.nprocs,
-        cfg.topology,
-        cfg.proc.window,
-        cfg.proc.clock_mhz,
-        cfg.l2.size_bytes,
-        cfg.l2.assoc,
-        cfg.l2.line_bytes,
-        cfg.l2.mshrs,
-        cfg.dir_cycles,
-    )
-    .as_bytes())
+    fnv(format!("{cfg:?}").as_bytes())
 }
 
 /// Full memo key.
@@ -255,6 +244,19 @@ mod tests {
         assert_eq!((memo.hits(), memo.misses()), (2, 3));
         let all_cached = memo.get_or_score_all(&keys, |_| unreachable!());
         assert!(all_cached.iter().all(|&(_, hit)| hit));
+    }
+
+    #[test]
+    fn config_fingerprint_covers_the_whole_machine() {
+        let base = MachineConfig::base_simulated(1, 64 * 1024);
+        let mut l1 = base.clone();
+        l1.l1.as_mut().expect("base machine has an L1").size_bytes *= 2;
+        let mut banks = base.clone();
+        banks.mem.bank_cycles += 1;
+        for other in [&l1, &banks] {
+            assert_ne!(config_fingerprint(&base), config_fingerprint(other));
+        }
+        assert_eq!(config_fingerprint(&base), config_fingerprint(&base.clone()));
     }
 
     #[test]

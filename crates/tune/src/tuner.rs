@@ -14,7 +14,7 @@ use crate::memo::{config_fingerprint, opts_signature, MemoKey, ScoreMemo};
 use crate::space::{apply_composition, build_space, Composition, SpaceOptions};
 
 /// Tuner configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TuneOptions {
     /// Options every scoring simulation runs under.
     pub sim: SimOptions,
@@ -24,20 +24,10 @@ pub struct TuneOptions {
     pub threads: usize,
     /// Knob menus for the per-nest space.
     pub space: SpaceOptions,
-    /// Simulator budget per nest: survivors of prediction pruning.
-    pub max_scored_per_nest: usize,
 }
 
-impl Default for TuneOptions {
-    fn default() -> Self {
-        TuneOptions {
-            sim: SimOptions::default(),
-            threads: 0,
-            space: SpaceOptions::default(),
-            max_scored_per_nest: 8,
-        }
-    }
-}
+/// Simulator budget per nest: survivors of prediction pruning.
+const MAX_SCORED_PER_NEST: usize = 8;
 
 /// Search totals for the report and the `tune.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -307,11 +297,11 @@ impl Tuner {
         (seq, par)
     }
 
-    fn memo_key(&self, digest: u64, cfg: &MachineConfig) -> MemoKey {
+    fn memo_key(&self, digest: u64, config: u64) -> MemoKey {
         MemoKey {
             digest,
             opts: opts_signature(self.opts.sim),
-            config: config_fingerprint(cfg),
+            config,
         }
     }
 
@@ -320,11 +310,18 @@ impl Tuner {
         run_program_with(prog, &mut mem, cfg, self.opts.sim).cycles
     }
 
-    /// Scores `prog` in simulated cycles, through the memo. Returns the
-    /// cycles, the digest and whether the memo hit.
-    fn score(&self, prog: &Program, cfg: &MachineConfig, mem_at: MemFactory) -> (u64, u64, bool) {
+    /// Scores `prog` in simulated cycles, through the memo; `config` is
+    /// `cfg`'s [`config_fingerprint`]. Returns the cycles, the digest and
+    /// whether the memo hit.
+    fn score(
+        &self,
+        prog: &Program,
+        cfg: &MachineConfig,
+        config: u64,
+        mem_at: MemFactory,
+    ) -> (u64, u64, bool) {
         let digest = self.digest(prog, cfg.nprocs, mem_at);
-        let (cycles, hit) = self.memo.get_or_insert(&self.memo_key(digest, cfg), || {
+        let (cycles, hit) = self.memo.get_or_insert(&self.memo_key(digest, config), || {
             self.simulate(prog, cfg, mem_at)
         });
         (cycles, digest, hit)
@@ -347,6 +344,7 @@ impl Tuner {
     ) -> (Program, TuneReport) {
         let epoch = Instant::now();
         let m = machine_summary(cfg);
+        let config = config_fingerprint(cfg);
         let nprocs = cfg.nprocs;
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(self.opts.threads)
@@ -358,7 +356,7 @@ impl Tuner {
         let mut oracle_failures = Vec::new();
 
         let (ref_seq, ref_par) = self.oracle_fingerprints(prog, nprocs, mem_at);
-        let (base_cycles, base_digest, _) = self.score(prog, cfg, mem_at);
+        let (base_cycles, base_digest, _) = self.score(prog, cfg, config, mem_at);
 
         // Incumbent: the best program so far, improved nest by nest.
         let mut best = prog.clone();
@@ -424,9 +422,9 @@ impl Tuner {
                     .partial_cmp(&a.predicted)
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
-            if cands.len() > self.opts.max_scored_per_nest {
-                stats.pruned_predicted += (cands.len() - self.opts.max_scored_per_nest) as u64;
-                cands.truncate(self.opts.max_scored_per_nest);
+            if cands.len() > MAX_SCORED_PER_NEST {
+                stats.pruned_predicted += (cands.len() - MAX_SCORED_PER_NEST) as u64;
+                cands.truncate(MAX_SCORED_PER_NEST);
             }
             stats.scored += cands.len() as u64;
 
@@ -501,7 +499,7 @@ impl Tuner {
                 .collect();
             let keys: Vec<MemoKey> = passed
                 .iter()
-                .map(|&i| self.memo_key(verdicts[i].digest, cfg))
+                .map(|&i| self.memo_key(verdicts[i].digest, config))
                 .collect();
             let mut sim_end_us = vec![None; cands.len()];
             let looked_up = self.memo.get_or_score_all(&keys, |missed| {
@@ -606,7 +604,7 @@ impl Tuner {
         cluster_program(&mut default_prog, &m, profile);
         let (def_seq, def_par) = self.oracle_fingerprints(&default_prog, nprocs, mem_at);
         let default_cycles = if def_seq == ref_seq && def_par == ref_par {
-            let (c, _, _) = self.score(&default_prog, cfg, mem_at);
+            let (c, _, _) = self.score(&default_prog, cfg, config, mem_at);
             c
         } else {
             // Should be impossible (it would be a driver legality bug);
