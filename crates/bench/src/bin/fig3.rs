@@ -9,8 +9,8 @@
 //! ```
 
 use mempar_bench::{
-    parse_args, run_app, run_matrix, simulated_config, summarize_pair, write_locality_outputs,
-    write_observation_outputs, Reads,
+    parse_args, run_app, run_matrix, simulated_config, slower_than_base, summarize_pair,
+    write_locality_outputs, write_observation_outputs, Reads,
 };
 use mempar_stats::{format_breakdown_table, render_breakdown_bars};
 
@@ -47,11 +47,12 @@ fn main() {
     }
     // Fan the applications across worker threads; results are collected
     // in application order, so stdout is identical at any thread count.
-    let results = run_matrix(args.threads, &apps, |&app| {
+    let runs = run_matrix(args.threads, &apps, |&app| {
         let w = app.build(args.scale);
         let cfg = simulated_config(&w, args.scale, mp, ghz);
-        run_app(app, &w, &cfg, args.pair_options())
+        (run_app(app, &w, &cfg, args.pair_options()), cfg.nprocs)
     });
+    let (results, procs): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
     let mut entries = Vec::new();
     let mut reductions = Vec::new();
     for (app, out) in apps.iter().zip(&results) {
@@ -84,6 +85,10 @@ fn main() {
                 "11-49%, avg 30% (up)"
             }
         );
+    }
+    let cells = apps.iter().zip(&procs).zip(&results);
+    if let Some(line) = slower_than_base(cells.map(|((app, &p), out)| (app.name(), p, &out.pair))) {
+        println!("{line}");
     }
     let locality_entries: Vec<(&str, &mempar::LocalityArtifacts)> = apps
         .iter()

@@ -4,7 +4,8 @@
 
 use mempar::MachineConfig;
 use mempar_bench::{
-    parse_args, run_app, run_matrix, write_locality_outputs, write_observation_outputs, Reads,
+    parse_args, run_app, run_matrix, slower_than_base, write_locality_outputs,
+    write_observation_outputs, Reads,
 };
 use mempar_stats::{format_rows, Row};
 use mempar_workloads::App;
@@ -31,8 +32,9 @@ fn main() {
             jobs.push((app, true));
         }
     }
+    let procs = |mp: bool| if mp { 8 } else { 1 };
     let mut results = run_matrix(args.threads, &jobs, |&(app, mp)| {
-        let cfg = MachineConfig::exemplar(if mp { 8 } else { 1 });
+        let cfg = MachineConfig::exemplar(procs(mp));
         run_app(app, &app.build(args.scale), &cfg, args.pair_options())
     });
     let mut rows = Vec::new();
@@ -77,6 +79,12 @@ fn main() {
             &rows
         )
     );
+    let cells = jobs.iter().zip(&results);
+    if let Some(line) =
+        slower_than_base(cells.map(|(&(app, mp), out)| (app.name(), procs(mp), &out.pair)))
+    {
+        println!("{line}");
+    }
     // Measured-locality calibration tables (uniprocessor cells only, to
     // keep one row per app).
     let entries: Vec<(&str, &mempar::LocalityArtifacts)> = jobs

@@ -570,6 +570,21 @@ pub fn summarize_pair(pair: &RunPair) -> String {
     )
 }
 
+/// The line `fig3` and `table3` print when clustering slowed a cell down:
+/// `slower than base: <app>(<procs>p) …`, naming every `(app, processors,
+/// pair)` cell whose clustered run took more cycles than its base. `None`
+/// when no cell did.
+pub fn slower_than_base<'a>(
+    cells: impl IntoIterator<Item = (&'a str, usize, &'a RunPair)>,
+) -> Option<String> {
+    let slow: Vec<String> = cells
+        .into_iter()
+        .filter(|(_, _, pair)| pair.clustered.cycles > pair.base.cycles)
+        .map(|(app, procs, _)| format!("{app}({procs}p)"))
+        .collect();
+    (!slow.is_empty()).then(|| format!("slower than base: {}", slow.join(" ")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,9 @@
 //! enforced by the differential gates in `crates/difftest`.
 
 use crate::expr::{AffineExpr, BinOp, CmpOp, Expr, UnOp};
-use crate::program::{ArrayId, ArrayRef, Bound, Dist, DynIndex, ElemType, Loop, Program, Stmt};
+use crate::program::{
+    ArrayId, ArrayRef, BlockEdge, Bound, Dist, DynIndex, ElemType, Loop, Program, Stmt,
+};
 use crate::trace::{FpUnit, OpKind};
 
 /// Statically-resolved op kind of an arithmetic instruction (the dynamic
@@ -68,6 +70,8 @@ pub(crate) enum Opnd {
     Scalar(u32),
     /// Expression-temporary slot.
     Temp(u32),
+    /// Block edge (index into [`BytecodeProgram::edges`]); vreg 0.
+    Edge(u32),
 }
 
 /// An operand together with its static value type (`true` = f64 bits).
@@ -223,6 +227,7 @@ pub(crate) enum BoundCode {
     Const(i64),
     Affine(AffineCode),
     Scalar { scalar: u32, elem_f: bool },
+    Block(BlockEdge),
 }
 
 /// A compiled loop: bounds, step, distribution and the exit target (the
@@ -257,6 +262,8 @@ pub struct BytecodeProgram {
     pub(crate) loops: Vec<LoopCode>,
     pub(crate) conds: Vec<CondCode>,
     pub(crate) affs: Vec<AffineCode>,
+    /// Block edges read by expressions (evaluated per processor).
+    pub(crate) edges: Vec<BlockEdge>,
     /// Initial scalar bit patterns (indexed by scalar slot).
     pub(crate) scalar_inits: Vec<u64>,
     pub(crate) n_vars: usize,
@@ -276,6 +283,7 @@ impl BytecodeProgram {
             loops: Vec::new(),
             conds: Vec::new(),
             affs: Vec::new(),
+            edges: Vec::new(),
             n_temps: 0,
         };
         c.compile_block(&prog.body);
@@ -286,6 +294,7 @@ impl BytecodeProgram {
             loops: c.loops,
             conds: c.conds,
             affs: c.affs,
+            edges: c.edges,
             scalar_inits: prog.scalars.iter().map(|s| s.init_bits).collect(),
             n_vars: prog.var_names.len(),
             n_temps: c.n_temps as usize,
@@ -372,6 +381,7 @@ struct Compiler<'p> {
     loops: Vec<LoopCode>,
     conds: Vec<CondCode>,
     affs: Vec<AffineCode>,
+    edges: Vec<BlockEdge>,
     n_temps: u32,
 }
 
@@ -507,6 +517,7 @@ impl<'p> Compiler<'p> {
                 scalar: s.index() as u32,
                 elem_f: self.is_f_scalar(*s),
             },
+            Bound::Block(e) => BoundCode::Block(*e),
         }
     }
 
@@ -534,6 +545,13 @@ impl<'p> Compiler<'p> {
                 opnd: Opnd::Scalar(s.index() as u32),
                 is_f: self.is_f_scalar(*s),
             },
+            Expr::BlockEdge(e) => {
+                self.edges.push(*e);
+                TOp {
+                    opnd: Opnd::Edge(self.edges.len() as u32 - 1),
+                    is_f: false,
+                }
+            }
             Expr::Load(r) => {
                 let ref_id = self.compile_ref(r);
                 self.claim_temps(base + 1);

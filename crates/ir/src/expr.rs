@@ -1,6 +1,6 @@
 //! Affine index expressions, arithmetic expressions and conditions.
 
-use crate::program::{ArrayRef, ScalarId, VarId};
+use crate::program::{ArrayRef, BlockEdge, ScalarId, VarId};
 
 /// An affine expression over loop variables: `sum(coeff_k * var_k) + konst`.
 ///
@@ -206,6 +206,11 @@ pub enum Expr {
     Scalar(ScalarId),
     /// Current value of a loop variable (an integer).
     LoopVar(VarId),
+    /// One end of the calling processor's block (an integer fixed per
+    /// processor; the prelude of a jammed [`Dist::Own`] loop reads it).
+    ///
+    /// [`Dist::Own`]: crate::Dist::Own
+    BlockEdge(BlockEdge),
     /// Unary operation.
     Unary(UnOp, Box<Expr>),
     /// Binary operation.

@@ -7,8 +7,8 @@
 //! simulation) without coroutines or threads.
 //!
 //! For multiprocessor runs, one `Interp` per processor shares the same
-//! `SimMem`; loops with a [`Dist`](crate::Dist) annotation split their
-//! iterations. Values are evaluated at *fetch* time, which is exact for
+//! `SimMem`; loops distributed by [`Dist::Block`](crate::Dist::Block)
+//! split their iterations. Values are evaluated at *fetch* time, which is exact for
 //! the data-race-free kernels in `mempar-workloads` (all trace-affecting
 //! values — indices, chain pointers, trip counts — are either private or
 //! synchronized).
@@ -17,7 +17,9 @@ use std::collections::VecDeque;
 
 use crate::expr::{BinOp, Cond, Expr, UnOp};
 use crate::mem::SimMem;
-use crate::program::{ArrayRef, Bound, Dist, DynIndex, ElemType, Loop, Program, Stmt, VarId};
+use crate::program::{
+    block_range, ArrayRef, Bound, Dist, DynIndex, ElemType, Loop, Program, Stmt, VarId,
+};
 use crate::trace::{DynOp, FpUnit, OpKind, SrcList};
 
 /// A dynamically-typed value (scalars, expression results).
@@ -103,7 +105,6 @@ enum Frame<'p> {
         /// Next iteration number (in 0..trip).
         k: i64,
         k_end: i64,
-        k_stride: i64,
         /// First loop-variable value and per-iteration delta.
         var0: i64,
         var_step: i64,
@@ -216,7 +217,6 @@ impl<'p> Interp<'p> {
                 lp,
                 k,
                 k_end,
-                k_stride,
                 var0,
                 var_step,
                 bound_vreg,
@@ -229,7 +229,7 @@ impl<'p> Interp<'p> {
                 let var = lp.var;
                 let value = *var0 + *k * *var_step;
                 let bound_vreg = *bound_vreg;
-                *k += *k_stride;
+                *k += 1;
                 self.begin_iteration(lp, var, value, bound_vreg);
             }
         }
@@ -401,19 +401,9 @@ impl<'p> Interp<'p> {
         let astep = step.abs();
         let trip = (span + astep - 1) / astep;
         let (var0, var_step) = if step > 0 { (lo, step) } else { (hi - 1, step) };
-        let (k0, k_end, k_stride) = match (lp.dist, self.nprocs) {
-            (None, _) | (_, 1) => (0i64, trip, 1i64),
-            (Some(Dist::Block), n) => {
-                let n = n as i64;
-                let chunk = (trip + n - 1) / n;
-                let start = (self.proc_id as i64) * chunk;
-                (
-                    start.min(trip),
-                    ((start + chunk).min(trip)).max(start.min(trip)),
-                    1,
-                )
-            }
-            (Some(Dist::Cyclic), n) => (self.proc_id as i64, trip, n as i64),
+        let (k0, k_end) = match lp.dist {
+            Some(Dist::Block) => block_range(trip, self.proc_id, self.nprocs),
+            None | Some(Dist::Own) => (0, trip),
         };
         if k0 >= k_end {
             // Still emit the (not-taken) loop-entry branch for realism.
@@ -428,7 +418,6 @@ impl<'p> Interp<'p> {
             lp,
             k: k0,
             k_end,
-            k_stride,
             var0,
             var_step,
             bound_vreg,
@@ -443,6 +432,7 @@ impl<'p> Interp<'p> {
                 Val::from_bits(self.scalar_vals[s.index()], self.prog.scalar(*s).elem).as_i64(),
                 self.scalar_vregs[s.index()],
             ),
+            Bound::Block(e) => (e.eval(self.proc_id, self.nprocs), 0),
         }
     }
 
@@ -520,6 +510,7 @@ impl<'p> Interp<'p> {
             Expr::ConstF(x) => (Val::F(*x), 0),
             Expr::ConstI(x) => (Val::I(*x), 0),
             Expr::LoopVar(v) => (Val::I(self.var_vals[v.index()]), self.var_vregs[v.index()]),
+            Expr::BlockEdge(e) => (Val::I(e.eval(self.proc_id, self.nprocs)), 0),
             Expr::Scalar(s) => (
                 Val::from_bits(self.scalar_vals[s.index()], self.prog.scalar(*s).elem),
                 self.scalar_vregs[s.index()],
@@ -808,20 +799,40 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_distribution_strides() {
-        let mut b = ProgramBuilder::new("parc");
-        let c = b.array_f64("c", &[8]);
-        let i = b.var("i");
-        b.for_dist(i, 0, 8, Dist::Cyclic, |b| {
-            let one = b.constf(1.0);
-            b.assign_array(c, &[Index::affine(crate::AffineExpr::var(i))], one);
-        });
-        let p = b.finish();
-        let mut mem = SimMem::new(&p, 2);
-        let mut interp = Interp::new(&p, 1, 2);
-        interp.run_functional(&mut mem);
-        let out = mem.read_f64(c);
-        assert_eq!(out, vec![0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]);
+    fn own_block_runs_the_block_split() {
+        // Lowered or not, processor p writes exactly its block of 13.
+        let build = |own: bool| {
+            let mut b = ProgramBuilder::new("own");
+            let c = b.array_f64("c", &[13]);
+            let i = b.var("i");
+            b.for_dist(i, 0, 13, Dist::Block, |b| {
+                let one = b.constf(1.0);
+                b.assign_array(c, &[Index::affine(crate::AffineExpr::var(i))], one);
+            });
+            let mut p = b.finish();
+            if own {
+                let Stmt::Loop(l) = &mut p.body[0] else {
+                    unreachable!()
+                };
+                assert!(l.lower_to_own_block());
+            }
+            (p, c)
+        };
+        for proc in 0..4 {
+            let mut written = Vec::new();
+            for own in [false, true] {
+                let (p, c) = build(own);
+                let mut mem = SimMem::new(&p, 4);
+                Interp::new(&p, proc, 4).run_functional(&mut mem);
+                written.push(mem.read_f64(c));
+            }
+            let (start, end) = block_range(13, proc, 4);
+            assert_eq!(written[0], written[1], "proc {proc}");
+            for (i, &v) in written[0].iter().enumerate() {
+                let mine = (start..end).contains(&(i as i64));
+                assert_eq!(v, if mine { 1.0 } else { 0.0 }, "proc {proc} index {i}");
+            }
+        }
     }
 
     #[test]

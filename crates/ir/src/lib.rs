@@ -68,9 +68,12 @@ pub use expr::{AffineExpr, BinOp, CmpOp, Cond, Expr, UnOp};
 pub use interp::{run_parallel_functional, run_single, Interp, RunSummary, Val};
 pub use mem::{ArrayData, HomeMap, HomePolicy, SimMem, PAGE_BYTES};
 pub use program::{
-    ArrayDecl, ArrayId, ArrayRef, Bound, Dist, DynIndex, ElemType, Index, Loop, Program,
-    ScalarDecl, ScalarId, Stmt, VarId,
+    block_range, ArrayDecl, ArrayId, ArrayRef, BlockEdge, Bound, Dist, DynIndex, ElemType, Index,
+    Loop, Program, ScalarDecl, ScalarId, Stmt, VarId,
 };
 pub use trace::{DynOp, FpUnit, OpKind, SrcList, TraceDigest, MAX_SRCS};
 pub use validate::ValidateError;
-pub use vm::{digest_ops, run_parallel_functional_with, run_single_with, Engine, Executor, Vm};
+pub use vm::{
+    digest_ops, run_parallel_functional_visit, run_parallel_functional_with, run_single_with,
+    Engine, Executor, Vm,
+};

@@ -5,7 +5,7 @@
 use std::fmt::{self, Write as _};
 
 use crate::expr::{AffineExpr, BinOp, CmpOp, Expr, UnOp};
-use crate::program::{ArrayRef, Bound, DynIndex, Loop, Program, Stmt};
+use crate::program::{ArrayRef, BlockEdge, Bound, DynIndex, Loop, Program, Stmt};
 
 impl Program {
     /// Renders the program as indented pseudocode.
@@ -83,7 +83,7 @@ impl Program {
         let var = self.var_name(l.var);
         let dist = match l.dist {
             Some(crate::program::Dist::Block) => "forall_block ",
-            Some(crate::program::Dist::Cyclic) => "forall_cyclic ",
+            Some(crate::program::Dist::Own) => "forall_own ",
             None => "for ",
         };
         let step = if l.step == 1 {
@@ -105,6 +105,7 @@ impl Program {
             Bound::Const(c) => c.to_string(),
             Bound::Affine(e) => self.fmt_affine(e),
             Bound::Scalar(s) => self.scalar(*s).name.clone(),
+            Bound::Block(e) => fmt_edge(e),
         }
     }
 
@@ -173,6 +174,7 @@ impl Program {
             Expr::Load(r) => self.fmt_ref(r),
             Expr::Scalar(s) => self.scalar(*s).name.clone(),
             Expr::LoopVar(v) => self.var_name(*v).to_string(),
+            Expr::BlockEdge(e) => fmt_edge(e),
             Expr::Unary(op, a) => match op {
                 UnOp::Neg => format!("-({})", self.fmt_expr(a)),
                 UnOp::Sqrt => format!("sqrt({})", self.fmt_expr(a)),
@@ -195,6 +197,13 @@ impl Program {
             }
         }
     }
+}
+
+/// `block_start(lo, trip)` / `block_end(lo, trip)`: the calling
+/// processor's block edge of the range `[lo, lo + trip)`.
+fn fmt_edge(e: &BlockEdge) -> String {
+    let end = if e.upper { "end" } else { "start" };
+    format!("block_{end}({}, {})", e.lo, e.trip)
 }
 
 impl fmt::Display for Program {

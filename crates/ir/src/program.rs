@@ -199,10 +199,48 @@ impl ArrayRef {
 /// How a parallel loop's iterations are distributed over processors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dist {
-    /// Contiguous blocks of iterations per processor (SPLASH-2 style).
+    /// Contiguous blocks of iterations per processor (SPLASH-2 style):
+    /// the engines give processor `p` the iterations [`block_range`]
+    /// names.
     Block,
-    /// Round-robin single iterations.
-    Cyclic,
+    /// A [`Dist::Block`] loop lowered to the calling processor's own
+    /// block (see [`Loop::lower_to_own_block`]): its bounds already
+    /// select that block, so the engines run it whole. It stays marked
+    /// parallel, because its iterations are still independent.
+    Own,
+}
+
+/// The iterations `[start, end)` of a `trip`-iteration [`Dist::Block`]
+/// loop that processor `proc_id` of `nprocs` runs: chunks of
+/// `c = ceil(trip / nprocs)` iterations, `[min(p·c, trip), min((p+1)·c,
+/// trip))`.
+pub fn block_range(trip: i64, proc_id: usize, nprocs: usize) -> (i64, i64) {
+    let n = nprocs as i64;
+    let chunk = (trip + n - 1) / n;
+    let p = proc_id as i64;
+    ((p * chunk).min(trip), ((p + 1) * chunk).min(trip))
+}
+
+/// One end of the calling processor's block of the range
+/// `[lo, lo + trip)`: `lo + start` or `lo + end` of that processor's
+/// [`block_range`]. Engines evaluate it from their processor id and
+/// count, so one program describes every processor's block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BlockEdge {
+    /// First value of the whole range.
+    pub lo: i64,
+    /// Iterations in the whole range.
+    pub trip: i64,
+    /// `false` for the block's first value, `true` for one past its last.
+    pub upper: bool,
+}
+
+impl BlockEdge {
+    /// The edge's value on processor `proc_id` of `nprocs`.
+    pub fn eval(&self, proc_id: usize, nprocs: usize) -> i64 {
+        let (start, end) = block_range(self.trip, proc_id, nprocs);
+        self.lo + if self.upper { end } else { start }
+    }
 }
 
 /// A loop bound. `lo` is inclusive, `hi` is exclusive for positive steps;
@@ -217,6 +255,9 @@ pub enum Bound {
     /// The current value of a scalar (variable-length inner loops:
     /// hash-chain lengths in MST, node degrees in Em3d, jammed minima).
     Scalar(ScalarId),
+    /// One end of the calling processor's block (a loop lowered to
+    /// [`Dist::Own`]).
+    Block(BlockEdge),
 }
 
 impl Bound {
@@ -225,7 +266,7 @@ impl Bound {
         match self {
             Bound::Const(c) => Some(*c),
             Bound::Affine(e) => e.as_const(),
-            Bound::Scalar(_) => None,
+            Bound::Scalar(_) | Bound::Block(_) => None,
         }
     }
 }
@@ -270,6 +311,29 @@ impl Loop {
         let span = (hi - lo).max(0);
         let step = self.step.abs().max(1);
         Some((span + step - 1) / step)
+    }
+
+    /// Lowers a step-1 [`Dist::Block`] loop with constant bounds to the
+    /// calling processor's own block: the bounds become that block's
+    /// [`Bound::Block`] edges and the distribution [`Dist::Own`], so
+    /// every processor runs exactly the iterations the block split gives
+    /// it. Transformations of the lowered loop (an unroll-and-jam with
+    /// its postlude) then stay inside each processor's block. Returns
+    /// `false`, leaving the loop unchanged, for any other loop.
+    pub fn lower_to_own_block(&mut self) -> bool {
+        let (Some(Dist::Block), 1, Some(lo), Some(trip)) = (
+            self.dist,
+            self.step,
+            self.lo.as_const(),
+            self.const_trip_count(),
+        ) else {
+            return false;
+        };
+        let edge = |upper| Bound::Block(BlockEdge { lo, trip, upper });
+        self.lo = edge(false);
+        self.hi = edge(true);
+        self.dist = Some(Dist::Own);
+        true
     }
 }
 
@@ -344,8 +408,9 @@ impl Stmt {
 /// A whole program: declarations plus a top-level statement list.
 ///
 /// A `Program` is executed SPMD-style by `nprocs` processors: every
-/// processor runs the whole body, loops with [`Loop::dist`]`= Some(..)`
-/// split their iterations, and [`Stmt::Barrier`]/flags synchronize.
+/// processor runs the whole body, loops with [`Loop::dist`]`=
+/// Some(`[`Dist::Block`]`)` split their iterations, and
+/// [`Stmt::Barrier`]/flags synchronize.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     /// Program name (diagnostics).

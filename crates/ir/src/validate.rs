@@ -203,7 +203,7 @@ impl Program {
                     });
                 }
             }
-            Bound::Const(_) => {}
+            Bound::Const(_) | Bound::Block(_) => {}
         }
     }
 

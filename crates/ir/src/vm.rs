@@ -17,7 +17,7 @@ use crate::bytecode::{
 use crate::expr::CmpOp;
 use crate::interp::{run_single, Interp, RunSummary};
 use crate::mem::SimMem;
-use crate::program::{Dist, Program};
+use crate::program::{block_range, Dist, Program};
 use crate::trace::{DynOp, OpKind, SrcList, TraceDigest};
 
 /// Selects which functional engine produces the dynamic-op stream.
@@ -72,7 +72,6 @@ struct LoopFrame {
     /// Next iteration number (in 0..trip).
     k: i64,
     k_end: i64,
-    k_stride: i64,
     /// First loop-variable value and per-iteration delta.
     var0: i64,
     var_step: i64,
@@ -204,6 +203,10 @@ impl<'p> Vm<'p> {
             Opnd::Var(i) => (self.var_vals[i as usize] as u64, self.var_vregs[i as usize]),
             Opnd::Scalar(i) => (self.scalar_vals[i as usize], self.scalar_vregs[i as usize]),
             Opnd::Temp(i) => (self.temps[i as usize], self.temp_vregs[i as usize]),
+            Opnd::Edge(i) => (
+                self.code.edges[i as usize].eval(self.proc_id, self.nprocs) as u64,
+                0,
+            ),
         }
     }
 
@@ -308,19 +311,9 @@ impl<'p> Vm<'p> {
                     let astep = step.abs();
                     let trip = (span + astep - 1) / astep;
                     let (var0, var_step) = if step > 0 { (lo, step) } else { (hi - 1, step) };
-                    let (k0, k_end, k_stride) = match (lc.dist, self.nprocs) {
-                        (None, _) | (_, 1) => (0i64, trip, 1i64),
-                        (Some(Dist::Block), n) => {
-                            let n = n as i64;
-                            let chunk = (trip + n - 1) / n;
-                            let start = (self.proc_id as i64) * chunk;
-                            (
-                                start.min(trip),
-                                ((start + chunk).min(trip)).max(start.min(trip)),
-                                1,
-                            )
-                        }
-                        (Some(Dist::Cyclic), n) => (self.proc_id as i64, trip, n as i64),
+                    let (k0, k_end) = match lc.dist {
+                        Some(Dist::Block) => block_range(trip, self.proc_id, self.nprocs),
+                        None | Some(Dist::Own) => (0, trip),
                     };
                     if k0 >= k_end {
                         // Still emit the (not-taken) loop-entry branch.
@@ -336,7 +329,6 @@ impl<'p> Vm<'p> {
                         loop_id: *loop_id,
                         k: k0,
                         k_end,
-                        k_stride,
                         var0,
                         var_step,
                         bound_vreg,
@@ -352,7 +344,7 @@ impl<'p> Vm<'p> {
                         continue;
                     }
                     let value = fr.var0 + fr.k * fr.var_step;
-                    fr.k += fr.k_stride;
+                    fr.k += 1;
                     let bound_vreg = fr.bound_vreg;
                     let var = *var as usize;
                     let prev = self.var_vregs[var];
@@ -437,6 +429,7 @@ impl<'p> Vm<'p> {
                 to_i64(self.scalar_vals[*scalar as usize], *elem_f),
                 self.scalar_vregs[*scalar as usize],
             ),
+            BoundCode::Block(e) => (e.eval(self.proc_id, self.nprocs), 0),
         }
     }
 
@@ -614,11 +607,24 @@ pub fn run_parallel_functional_with(
     nprocs: usize,
     engine: Engine,
 ) -> RunSummary {
+    run_parallel_functional_visit(prog, mem, nprocs, engine, |_, _| {})
+}
+
+/// [`run_parallel_functional_with`] that also hands every op to `visit`,
+/// together with the id of the processor that produced it, in the order
+/// the run executes them.
+pub fn run_parallel_functional_visit(
+    prog: &Program,
+    mem: &mut SimMem,
+    nprocs: usize,
+    engine: Engine,
+    mut visit: impl FnMut(usize, &DynOp),
+) -> RunSummary {
     let code = (engine == Engine::Bytecode).then(|| BytecodeProgram::compile(prog));
     let mut execs: Vec<Executor> = (0..nprocs)
         .map(|p| Executor::new(prog, code.as_ref(), p, nprocs))
         .collect();
-    run_parallel_executors(&mut execs, mem)
+    run_parallel_executors(&mut execs, mem, &mut visit)
 }
 
 /// Drains the op streams of processors `0..nprocs` running `prog` under
@@ -641,7 +647,11 @@ pub fn digest_ops(prog: &Program, mem: &mut SimMem, nprocs: usize, engine: Engin
 /// runners. Barrier arrival counts live in a flat `Vec` indexed by
 /// barrier id (ids are numbered 0, 1, 2, … per processor, so the vector
 /// is dense and grows to the deepest barrier reached).
-pub(crate) fn run_parallel_executors(execs: &mut [Executor], mem: &mut SimMem) -> RunSummary {
+fn run_parallel_executors(
+    execs: &mut [Executor],
+    mem: &mut SimMem,
+    visit: &mut impl FnMut(usize, &DynOp),
+) -> RunSummary {
     #[derive(Clone, Copy, PartialEq)]
     enum State {
         Ready,
@@ -679,6 +689,7 @@ pub(crate) fn run_parallel_executors(execs: &mut [Executor], mem: &mut SimMem) -
                     Some(op) => {
                         progressed = true;
                         total.count(&op);
+                        visit(p, &op);
                         match op.kind {
                             OpKind::Barrier { id } => {
                                 let i = id as usize;
@@ -873,17 +884,40 @@ mod tests {
         assert_same_stream(&p, 0, 1, no_setup);
     }
 
+    /// A 13-iteration block loop, lowered to each processor's own block
+    /// when `own`; the block's end is also stored through an expression.
+    fn block_program(own: bool) -> Program {
+        let mut b = ProgramBuilder::new("dist");
+        let c = b.array_f64("c", &[13]);
+        let ends = b.array_i64("ends", &[1]);
+        let i = b.var("i");
+        b.for_dist(i, 0, 13, Dist::Block, |b| {
+            let one = b.constf(1.0);
+            b.assign_array(c, &[Index::affine(AffineExpr::var(i))], one);
+        });
+        let mut p = b.finish();
+        if own {
+            let crate::Stmt::Loop(l) = &mut p.body[0] else {
+                unreachable!()
+            };
+            assert!(l.lower_to_own_block());
+            let end = crate::program::BlockEdge {
+                lo: 0,
+                trip: 13,
+                upper: true,
+            };
+            p.body.push(crate::Stmt::AssignArray {
+                lhs: ArrayRef::new(ends, vec![Index::affine(0)]),
+                rhs: Expr::BlockEdge(end),
+            });
+        }
+        p
+    }
+
     #[test]
     fn distributions_match_every_proc() {
-        for dist in [Dist::Block, Dist::Cyclic] {
-            let mut b = ProgramBuilder::new("dist");
-            let c = b.array_f64("c", &[13]);
-            let i = b.var("i");
-            b.for_dist(i, 0, 13, dist, |b| {
-                let one = b.constf(1.0);
-                b.assign_array(c, &[Index::affine(AffineExpr::var(i))], one);
-            });
-            let p = b.finish();
+        for own in [false, true] {
+            let p = block_program(own);
             for proc in 0..4 {
                 assert_same_stream(&p, proc, 4, no_setup);
             }
@@ -1011,13 +1045,17 @@ mod tests {
         b.barrier();
         let s = b.scalar_f64("acc", 0.0);
         let j = b.var("j");
-        b.for_dist(j, 0, 64, Dist::Cyclic, |b| {
+        b.for_dist(j, 0, 64, Dist::Block, |b| {
             let v = b.load(c, &[b.idx(j)]);
             let acc = b.scalar(s);
             let nv = b.add(acc, v);
             b.assign_scalar(s, nv);
         });
-        let p = b.finish();
+        let mut p = b.finish();
+        let crate::Stmt::Loop(l) = &mut p.body[2] else {
+            unreachable!()
+        };
+        assert!(l.lower_to_own_block());
         let mut m1 = SimMem::new(&p, 4);
         let s1 = run_parallel_functional_with(&p, &mut m1, 4, Engine::Interp);
         let mut m2 = SimMem::new(&p, 4);

@@ -494,8 +494,8 @@ mod tests {
         let s = b.scalar_f64("sum", 0.0);
         let i = b.var("i");
         let j = b.var("j");
-        // Cyclic distribution of a triangular loop: proc 0 gets iterations
-        // 0..n/2 with tiny bodies... simpler: proc 0 does nothing extra.
+        // A triangular loop block-distributed over two processors: proc 0
+        // (j = 0) gets an empty inner loop, proc 1 all n/2 iterations.
         b.for_dist(j, 0, 2, Dist::Block, |b| {
             b.for_affine(
                 i,
@@ -588,10 +588,10 @@ mod tests {
             b.assign_array(a, &[Index::affine(AffineExpr::var(i))], c);
         });
         b.barrier();
-        // Phase 2: everyone reads the *other end* of `a` (cyclic), so the
-        // values cross processors.
-        b.for_dist(i2, 0, n as i64, Dist::Cyclic, |b| {
-            let v = b.load(a, &[b.idx(i2)]);
+        // Phase 2: everyone reads the *other end* of `a`, so the values
+        // cross processors.
+        b.for_dist(i2, 0, n as i64, Dist::Block, |b| {
+            let v = b.load(a, &[b.idx_e(AffineExpr::scaled_var(i2, -1, n as i64 - 1))]);
             b.assign_array(out, &[Index::affine(AffineExpr::var(i2))], v);
         });
         let p = b.finish();

@@ -8,18 +8,21 @@
 //!    re-analyzed `f` (at most `⌈log₂U⌉` re-analyses, as in Carr &
 //!    Kennedy) while keeping `f ≤ α·lp` — conservative, to avoid MSHR
 //!    contention. Loops whose unrolling would add only write misses are
-//!    skipped.
+//!    skipped. On a multiprocessor, a block-distributed loop is first
+//!    lowered to each processor's own block, so every processor jams its
+//!    own iterations (see `unroll_site`).
 //! 3. **Scalar-replace** invariant references exposed by the jam.
 //! 4. If window constraints remain (no recurrence but `f < lp`),
-//!    **inner-unroll** to expose enough independent misses.
+//!    **inner-unroll** to expose enough independent misses (within each
+//!    processor's own block, as in step 2).
 //! 5. **Schedule** the body to pack miss references together.
 //! 6. **Interchange the postlude** when possible.
 
 use mempar_analysis::{analyze_inner_loop, MachineSummary, MissProfile, NestAnalysis};
-use mempar_ir::Program;
+use mempar_ir::{block_range, Loop, Program};
 
 use crate::interchange::interchange_postlude;
-use crate::nest::{deepest_inner, enclosing_vars, innermost_loops, loop_at, NestPath};
+use crate::nest::{deepest_inner, enclosing_vars, innermost_loops, loop_at, loop_at_mut, NestPath};
 use crate::scalar_replace::scalar_replace;
 use crate::schedule::schedule_for_misses;
 use crate::unroll::{inner_unroll, unroll_and_jam};
@@ -177,7 +180,7 @@ fn cluster_nest(
             let Some(pl) = loop_at(prog, &parent) else {
                 break;
             };
-            let pv = pl.var;
+            let (pv, trip) = (pl.var, pl.const_trip_count());
             let pname = prog.var_name(pv).to_string();
             if !writes_vary_with(prog, path, pv) {
                 reasons.push(format!("{pname}: writes invariant (reduction)"));
@@ -190,16 +193,27 @@ fn cluster_nest(
                 continue;
             }
             let target = an.target_f(m);
-            let degree = search_degree(prog, &parent, m, profile, target);
+            let (lowered, max_degree) = unroll_site(prog, &parent, m);
+            let site = lowered.as_ref().unwrap_or(prog);
+            let degree = search_degree(site, &parent, m, profile, target, max_degree);
             if degree <= 1 {
                 reasons.push(format!("{pname}: no profitable degree"));
                 cand = parent.parent();
                 continue;
             }
+            // A lowered loop whose every block on this machine is a
+            // multiple of the degree gets a postlude that no processor
+            // runs. Interchanged, it would still run a loop of empty
+            // inner loops, so it is left as written.
+            let postlude_idle =
+                lowered.is_some() && trip.is_some_and(|t| blocks_divide(t, m.procs, degree));
+            if let Some(lowered) = lowered {
+                *prog = lowered;
+            }
             match unroll_and_jam(prog, &parent, degree) {
                 Ok(r) => {
                     decision.uaj_degree = degree;
-                    if let Some(post) = &r.postlude {
+                    if let Some(post) = r.postlude.as_ref().filter(|_| !postlude_idle) {
                         decision.postlude_interchanged = interchange_postlude(prog, post);
                     }
                     cur_inner = deepest_inner(prog, &r.main)?;
@@ -228,9 +242,13 @@ fn cluster_nest(
         analyze_inner_loop(prog, &l.body, l.var, m, profile)
     };
     if decision.uaj_degree == 1 && an2.window_constrained(m) {
-        let deg = an2.inner_unroll_degree(m);
+        let (mut lowered, max_degree) = unroll_site(prog, &cur_inner, m);
+        let deg = an2.inner_unroll_degree(m).min(max_degree);
         if deg > 1 {
-            if let Ok(r) = inner_unroll(prog, &cur_inner, deg) {
+            if let Ok(r) = inner_unroll(lowered.as_mut().unwrap_or(prog), &cur_inner, deg) {
+                if let Some(lowered) = lowered {
+                    *prog = lowered;
+                }
                 decision.inner_unroll = deg;
                 cur_inner = r.main;
             }
@@ -252,7 +270,48 @@ fn cluster_nest(
     Some(decision)
 }
 
-/// Searches for the degree `d ≤ U` maximizing re-analyzed `f(d)`
+/// Where the driver unrolls the loop at `path` (an unroll-and-jam or an
+/// inner unroll), and the largest degree it tries there. On one
+/// processor, and for a loop that is not distributed over processors,
+/// that is the program as written with degrees up to `U`. On a
+/// multiprocessor, a step-1 [`Dist::Block`] loop with a constant trip
+/// count `T` is first lowered to each processor's own block (the SPMD
+/// form the paper's multiprocessor codes are written in), returned as a
+/// new program. Its unrolled loop and postlude then stay inside the
+/// block, so every processor keeps its own iterations and the data homed
+/// with them, and the degree is capped at the block size `ceil(T/P)`.
+/// Any other block-distributed loop gets degree 1: unrolling it as
+/// written would move every processor's block.
+///
+/// [`Dist::Block`]: mempar_ir::Dist::Block
+fn unroll_site(prog: &Program, path: &NestPath, m: &MachineSummary) -> (Option<Program>, u32) {
+    let Some(l) = loop_at(prog, path) else {
+        return (None, 1);
+    };
+    if m.procs <= 1 || l.dist != Some(mempar_ir::Dist::Block) {
+        return (None, m.max_unroll);
+    }
+    let Some(trip) = l.const_trip_count() else {
+        return (None, 1);
+    };
+    let mut lowered = prog.clone();
+    if !loop_at_mut(&mut lowered, path).is_some_and(Loop::lower_to_own_block) {
+        return (None, 1);
+    }
+    let block = (trip as u64).div_ceil(m.procs as u64);
+    (Some(lowered), m.max_unroll.min(block as u32))
+}
+
+/// True when every processor's block of a `trip`-iteration block
+/// distribution over `procs` processors is a multiple of `degree`.
+fn blocks_divide(trip: i64, procs: usize, degree: u32) -> bool {
+    (0..procs).all(|p| {
+        let (start, end) = block_range(trip, p, procs);
+        (end - start) % degree as i64 == 0
+    })
+}
+
+/// Searches for the degree `d ≤ max_degree` maximizing re-analyzed `f(d)`
 /// subject to `f(d) ≤ target` — bracketing binary search first (at
 /// most `⌈log₂U⌉` trial jams on clones, as in Carr & Kennedy), with a
 /// bounded linear verification pass when the probes contradict the
@@ -270,18 +329,18 @@ fn cluster_nest(
 /// the *larger* degree (same predicted overlap, fewer outer iterations
 /// — matching where the bracketing search lands on monotone profiles).
 ///
-/// For *distributed* loops only exact divisors of the trip count are
-/// considered: a leftover postlude of a parallel loop executes on the
-/// first processors while its data lives at the last one's home memory,
-/// and the resulting coherence ping-pong (observed on Ocean) swamps the
-/// clustering benefit. With a dividing degree every processor unrolls
-/// its own chunk and no postlude exists.
+/// `max_degree` comes from [`unroll_site`]: `U`, or for a distributed loop
+/// on a multiprocessor the size of one processor's block. `prog` is the
+/// program `unroll_site` chose, so a distributed loop is probed in its
+/// lowered form, where every processor jams its own block and runs its
+/// own postlude.
 fn search_degree(
     prog: &Program,
     parent: &NestPath,
     m: &MachineSummary,
     profile: &MissProfile,
     target: f64,
+    max_degree: u32,
 ) -> u32 {
     let cache = std::cell::RefCell::new(std::collections::BTreeMap::<u32, Option<f64>>::new());
     let f_of = |d: u32| -> Option<f64> {
@@ -300,17 +359,7 @@ fn search_degree(
         v
     };
     // Candidate degrees, ascending.
-    let candidates: Vec<u32> = match loop_at(prog, parent) {
-        Some(l) if l.dist.is_some() && m.procs > 1 => {
-            let Some(trip) = l.const_trip_count() else {
-                return 1;
-            };
-            (2..=m.max_unroll)
-                .filter(|&d| trip % d as i64 == 0)
-                .collect()
-        }
-        _ => (2..=m.max_unroll).collect(),
-    };
+    let candidates: Vec<u32> = (2..=max_degree).collect();
     if candidates.is_empty() {
         return 1;
     }
@@ -732,7 +781,7 @@ mod tests {
             })
             .expect("a feasible degree exists");
         assert_eq!(best, (7, 14.0), "premise drifted: {fs:?}");
-        let chosen = search_degree(&prog, &parent, &m, &profile, target);
+        let chosen = search_degree(&prog, &parent, &m, &profile, target, m.max_unroll);
         assert_eq!(
             chosen, best.0,
             "search must match the feasible argmax (profile {fs:?})"
@@ -767,7 +816,7 @@ mod tests {
                         _ => Some((d, f)),
                     },
                 );
-                let chosen = search_degree(&prog, &parent, &m, &profile, target);
+                let chosen = search_degree(&prog, &parent, &m, &profile, target, m.max_unroll);
                 if chosen > 1 {
                     let f_chosen = fs.iter().find(|(d, _)| *d == chosen).unwrap().1;
                     let best_f = best.expect("chosen>1 implies feasible").1;

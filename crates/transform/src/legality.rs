@@ -74,6 +74,8 @@ fn bound_interval(b: &Bound, r: &VarRanges) -> Option<(i64, i64)> {
         Bound::Const(c) => Some((*c, *c)),
         Bound::Affine(e) => r.interval(e),
         Bound::Scalar(_) => None,
+        // Every processor's block lies inside the whole range.
+        Bound::Block(e) => Some((e.lo, e.lo + e.trip)),
     }
 }
 

@@ -174,9 +174,12 @@ fn replace_in_stmt(s: &Stmt, target: &ArrayRef, t: mempar_ir::ScalarId) -> Stmt 
 fn replace_in_expr(e: &Expr, target: &ArrayRef, t: mempar_ir::ScalarId) -> Expr {
     match e {
         Expr::Load(r) if r == target => Expr::Scalar(t),
-        Expr::Load(_) | Expr::ConstF(_) | Expr::ConstI(_) | Expr::Scalar(_) | Expr::LoopVar(_) => {
-            e.clone()
-        }
+        Expr::Load(_)
+        | Expr::ConstF(_)
+        | Expr::ConstI(_)
+        | Expr::Scalar(_)
+        | Expr::LoopVar(_)
+        | Expr::BlockEdge(_) => e.clone(),
         Expr::Unary(op, a) => Expr::un(*op, replace_in_expr(a, target, t)),
         Expr::Binary(op, a, b) => Expr::bin(
             *op,

@@ -34,6 +34,7 @@ pub fn bound_to_expr(b: &Bound) -> Expr {
         Bound::Const(c) => Expr::ConstI(*c),
         Bound::Affine(e) => affine_to_expr(e),
         Bound::Scalar(s) => Expr::Scalar(*s),
+        Bound::Block(e) => Expr::BlockEdge(*e),
     }
 }
 
@@ -70,7 +71,7 @@ pub fn subst_ref(r: &ArrayRef, v: VarId, repl: &AffineExpr) -> ArrayRef {
 /// become integer arithmetic over the replacement.
 pub fn subst_expr(e: &Expr, v: VarId, repl: &AffineExpr) -> Expr {
     match e {
-        Expr::ConstF(_) | Expr::ConstI(_) | Expr::Scalar(_) => e.clone(),
+        Expr::ConstF(_) | Expr::ConstI(_) | Expr::Scalar(_) | Expr::BlockEdge(_) => e.clone(),
         Expr::LoopVar(w) => {
             if *w == v {
                 affine_to_expr(repl)
@@ -144,7 +145,11 @@ pub fn subst_body(body: &[Stmt], v: VarId, repl: &AffineExpr) -> Vec<Stmt> {
 pub fn rename_scalar_expr(e: &Expr, from: ScalarId, to: ScalarId) -> Expr {
     match e {
         Expr::Scalar(s) if *s == from => Expr::Scalar(to),
-        Expr::ConstF(_) | Expr::ConstI(_) | Expr::LoopVar(_) | Expr::Scalar(_) => e.clone(),
+        Expr::ConstF(_)
+        | Expr::ConstI(_)
+        | Expr::LoopVar(_)
+        | Expr::Scalar(_)
+        | Expr::BlockEdge(_) => e.clone(),
         Expr::Load(r) => Expr::Load(rename_scalar_ref(r, from, to)),
         Expr::Unary(op, a) => Expr::un(*op, rename_scalar_expr(a, from, to)),
         Expr::Binary(op, a, b) => Expr::bin(

@@ -604,20 +604,41 @@ mod tests {
     #[test]
     fn uaj_on_distributed_loop_keeps_coverage() {
         // A parallel loop unrolled-and-jammed must still cover all
-        // iterations across processors.
-        let n = 19usize;
-        let mut b = ProgramBuilder::new("dist");
-        let c = b.array_f64("c", &[n]);
-        let j = b.var("j");
-        b.for_dist(j, 0, n as i64, mempar_ir::Dist::Block, |b| {
-            let one = b.constf(1.0);
-            b.assign_array(c, &[b.idx(j)], one);
-        });
-        let mut p = b.finish();
-        unroll_and_jam(&mut p, &NestPath::top(0), 4).expect("parallel");
-        let mut mem = SimMem::new(&p, 4);
-        mempar_ir::run_parallel_functional(&p, &mut mem, 4);
-        assert!(mem.read_f64(c).iter().all(|&v| v == 1.0));
+        // iterations across processors. Lowered to each processor's own
+        // block first, every processor also keeps exactly its own
+        // iterations: 19 iterations on 4 processors at degree 3, so
+        // neither the processor count nor the degree divides the trip.
+        let (n, procs) = (19usize, 4usize);
+        for own in [false, true] {
+            let mut b = ProgramBuilder::new("dist");
+            let c = b.array_f64("c", &[n]);
+            let j = b.var("j");
+            b.for_dist(j, 0, n as i64, mempar_ir::Dist::Block, |b| {
+                let one = b.constf(1.0);
+                b.assign_array(c, &[b.idx(j)], one);
+            });
+            let mut p = b.finish();
+            if own {
+                let l = crate::nest::loop_at_mut(&mut p, &NestPath::top(0)).expect("loop");
+                assert!(l.lower_to_own_block());
+            }
+            let r = unroll_and_jam(&mut p, &NestPath::top(0), 3).expect("parallel");
+            assert!(r.postlude.is_some());
+            let mut mem = SimMem::new(&p, procs);
+            mempar_ir::run_parallel_functional(&p, &mut mem, procs);
+            assert!(mem.read_f64(c).iter().all(|&v| v == 1.0));
+            if !own {
+                continue;
+            }
+            for proc in 0..procs {
+                let mut mem = SimMem::new(&p, procs);
+                mempar_ir::Interp::new(&p, proc, procs).run_functional(&mut mem);
+                let out = mem.read_f64(c);
+                let mine: Vec<i64> = (0..n as i64).filter(|&i| out[i as usize] == 1.0).collect();
+                let (start, end) = mempar_ir::block_range(n as i64, proc, procs);
+                assert_eq!(mine, (start..end).collect::<Vec<_>>(), "processor {proc}");
+            }
+        }
     }
 
     /// Regression (found by differential testing): a shared accumulator

@@ -4,6 +4,7 @@
 //! every major result.
 
 use mempar::{run_pair, run_pair_with, run_program, Locality, MachineConfig, PairOptions};
+use mempar_bench::simulated_config;
 use mempar_ir::{AffineExpr, ArrayData, ArrayRef, Dist, Index, ProgramBuilder, SimMem};
 use mempar_workloads::{latbench, App, LatbenchParams};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -259,4 +260,49 @@ fn clustering_preserves_locality() {
             app.name()
         );
     }
+}
+
+/// Figure 3(a) under both locality models: clustering must gain on
+/// average over the multiprocessor applications, and must not slow any
+/// of them by more than 10%. Jamming a distributed loop within each
+/// processor's own block is what keeps every cell near or above its
+/// base; jamming it as written once made Ocean 2.2x slower at scale 0.1.
+fn multiprocessor_leg(scale: f64) {
+    for locality in [Locality::Analytic, Locality::Measured] {
+        let mut cells = Vec::new();
+        for app in App::all().into_iter().filter(|a| a.runs_multiprocessor()) {
+            let w = app.build(scale);
+            let cfg = simulated_config(&w, scale, true, false);
+            let opts = PairOptions {
+                locality,
+                ..PairOptions::default()
+            };
+            let pair = run_pair_with(&w, &cfg, opts).pair;
+            assert!(pair.outputs_match, "{}: outputs diverged", app.name());
+            cells.push((app.name(), pair.percent_reduction()));
+        }
+        let avg = cells.iter().map(|c| c.1).sum::<f64>() / cells.len() as f64;
+        assert!(
+            avg > 0.0,
+            "{locality:?} scale {scale}: mp average {avg:.1}% ({cells:?})"
+        );
+        for (app, r) in &cells {
+            assert!(
+                *r > -10.0,
+                "{locality:?} scale {scale}: {app} is {:.1}% slower than base",
+                -r
+            );
+        }
+    }
+}
+
+#[test]
+fn multiprocessor_clustering_gains_at_scale_005() {
+    multiprocessor_leg(0.05);
+}
+
+#[test]
+#[ignore = "about 30 s in a debug build; CI runs it with the ignored acceptance sweeps"]
+fn multiprocessor_clustering_gains_at_scale_01() {
+    multiprocessor_leg(0.1);
 }

@@ -3,7 +3,7 @@
 
 use mempar_ir::{
     run_parallel_functional, run_single, AffineExpr, ArrayData, Dist, Interp, OpKind,
-    ProgramBuilder, SimMem, SrcList, VarId,
+    ProgramBuilder, SimMem, SrcList, Stmt, VarId,
 };
 use proptest::prelude::*;
 
@@ -51,25 +51,29 @@ proptest! {
         prop_assert_eq!(a.scale(3).scale(-1), a.scale(-3));
     }
 
-    /// Block and cyclic distributions partition the iteration space:
-    /// every iteration executed by exactly one processor.
+    /// The block distribution partitions the iteration space, as written
+    /// and lowered to each processor's own block: every iteration is
+    /// executed by exactly one processor.
     #[test]
     fn distribution_partitions_iterations(
         trip in 1usize..64,
         nprocs in 1usize..9,
-        block in proptest::bool::ANY,
+        own in proptest::bool::ANY,
     ) {
         let mut b = ProgramBuilder::new("cover");
         let c = b.array_f64("c", &[trip]);
         let i = b.var("i");
-        let dist = if block { Dist::Block } else { Dist::Cyclic };
-        b.for_dist(i, 0, trip as i64, dist, |b| {
+        b.for_dist(i, 0, trip as i64, Dist::Block, |b| {
             let old = b.load(c, &[b.idx(i)]);
             let one = b.constf(1.0);
             let inc = b.add(old, one);
             b.assign_array(c, &[b.idx(i)], inc);
         });
-        let p = b.finish();
+        let mut p = b.finish();
+        if own {
+            let Stmt::Loop(l) = &mut p.body[0] else { unreachable!() };
+            prop_assert!(l.lower_to_own_block());
+        }
         let mut mem = SimMem::new(&p, nprocs);
         run_parallel_functional(&p, &mut mem, nprocs);
         let out = mem.read_f64(c);
