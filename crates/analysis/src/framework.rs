@@ -2,7 +2,7 @@
 //! mapping memory parallelism onto the floating-point-pipelining model and
 //! estimating `f`, the per-iteration count of overlappable misses.
 
-use mempar_ir::{Program, Stmt, VarId};
+use mempar_ir::{Interleave, Program, Stmt, VarId};
 
 use crate::depgraph::{summarize_recurrences, RecurrenceSummary};
 use crate::refs::{collect_refs, MissProfile, RefCollection};
@@ -23,11 +23,15 @@ pub struct MachineSummary {
     /// Maximum unroll(-and-jam) degree `U` the driver will consider,
     /// bounding code expansion and register pressure.
     pub max_unroll: u32,
+    /// Memory banks per node.
+    pub banks: usize,
+    /// How lines are interleaved across those banks.
+    pub interleave: Interleave,
 }
 
 impl MachineSummary {
     /// The paper's base simulated machine: 64-entry window, 10 MSHRs,
-    /// 64-byte lines.
+    /// 64-byte lines, 4 permutation-interleaved banks.
     pub fn base() -> Self {
         MachineSummary {
             window: 64,
@@ -35,11 +39,13 @@ impl MachineSummary {
             mshrs: 10,
             line_bytes: 64,
             max_unroll: 16,
+            banks: 4,
+            interleave: Interleave::Permutation,
         }
     }
 
     /// An Exemplar-like machine: 56-entry window, 10 outstanding misses,
-    /// 32-byte lines.
+    /// 32-byte lines, 8 skew-interleaved banks.
     pub fn exemplar() -> Self {
         MachineSummary {
             window: 56,
@@ -47,6 +53,8 @@ impl MachineSummary {
             mshrs: 10,
             line_bytes: 32,
             max_unroll: 16,
+            banks: 8,
+            interleave: Interleave::Skewed,
         }
     }
 }

@@ -23,7 +23,8 @@ use crate::profile::{measure_locality, profile_miss_rates};
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
 /// Distills the full machine configuration into the parameters the
-/// analysis framework uses (Section 3.2.2's `W`, `lp`, line size).
+/// analysis framework uses (Section 3.2.2's `W`, `lp`, line size, plus
+/// the memory banks the driver prices jam sites against).
 pub fn machine_summary(cfg: &MachineConfig) -> MachineSummary {
     MachineSummary {
         window: cfg.proc.window,
@@ -31,6 +32,8 @@ pub fn machine_summary(cfg: &MachineConfig) -> MachineSummary {
         mshrs: cfg.l2.mshrs,
         line_bytes: cfg.l2.line_bytes,
         max_unroll: 16,
+        banks: cfg.mem.banks,
+        interleave: cfg.mem.interleave,
     }
 }
 
@@ -315,5 +318,17 @@ mod tests {
         assert_eq!(m.window, 64);
         assert_eq!(m.mshrs, 10);
         assert_eq!(m.line_bytes, 64);
+        assert_eq!(
+            (m.banks, m.interleave),
+            (4, mempar_ir::Interleave::Permutation)
+        );
+        let e = machine_summary(&MachineConfig::exemplar(8));
+        assert_eq!(
+            e,
+            MachineSummary {
+                procs: 8,
+                ..MachineSummary::exemplar()
+            }
+        );
     }
 }

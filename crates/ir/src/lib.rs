@@ -66,10 +66,10 @@ pub use builder::ProgramBuilder;
 pub use bytecode::BytecodeProgram;
 pub use expr::{AffineExpr, BinOp, CmpOp, Cond, Expr, UnOp};
 pub use interp::{run_parallel_functional, run_single, Interp, RunSummary, Val};
-pub use mem::{ArrayData, HomeMap, HomePolicy, SimMem, PAGE_BYTES};
+pub use mem::{bank_of, ArrayData, HomeMap, HomePolicy, Interleave, SimMem, PAGE_BYTES};
 pub use program::{
     block_range, ArrayDecl, ArrayId, ArrayRef, BlockEdge, Bound, Dist, DynIndex, ElemType, Index,
-    Loop, Program, ScalarDecl, ScalarId, Stmt, VarId,
+    Loop, Program, ScalarDecl, ScalarId, Stmt, VarId, ELEM_BYTES,
 };
 pub use trace::{DynOp, FpUnit, OpKind, SrcList, TraceDigest, MAX_SRCS};
 pub use validate::ValidateError;

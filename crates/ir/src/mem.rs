@@ -243,6 +243,39 @@ impl SimMem {
     }
 }
 
+/// Memory-bank interleaving scheme.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Interleave {
+    /// Sequential: bank = line mod banks.
+    Sequential,
+    /// Permutation-based (Sohi): XOR-fold of the line address, supporting
+    /// a wide variety of strides (the simulated system of the paper).
+    Permutation,
+    /// Skewed (Harper & Jump): bank = (line + line/banks) mod banks
+    /// (the Convex Exemplar's memory).
+    Skewed,
+}
+
+/// Selects the memory bank for a line address.
+///
+/// The simulated system uses permutation-based interleaving (Sohi) to
+/// spread strided streams over banks; the Exemplar uses a skewed scheme
+/// (Harper & Jump). The simulator's banks and the transformation driver's
+/// bank-conflict estimate both call this one function.
+pub fn bank_of(line: u64, banks: usize, scheme: Interleave) -> usize {
+    debug_assert!(banks.is_power_of_two());
+    let mask = (banks - 1) as u64;
+    let b = match scheme {
+        Interleave::Sequential => line & mask,
+        Interleave::Permutation => {
+            let s = banks.trailing_zeros();
+            (line ^ (line >> s) ^ (line >> (2 * s)) ^ (line >> (3 * s))) & mask
+        }
+        Interleave::Skewed => (line + (line >> banks.trailing_zeros())) & mask,
+    };
+    b as usize
+}
+
 fn round_up(x: u64, align: u64) -> u64 {
     x.div_ceil(align) * align
 }
@@ -364,6 +397,36 @@ mod tests {
             assert!(h >= prev);
             prev = h;
         }
+    }
+
+    #[test]
+    fn bank_selection_covers_all_banks() {
+        for scheme in [
+            Interleave::Sequential,
+            Interleave::Permutation,
+            Interleave::Skewed,
+        ] {
+            let mut seen = [false; 4];
+            for line in 0..64u64 {
+                seen[bank_of(line, 4, scheme)] = true;
+            }
+            assert!(seen.iter().all(|&s| s), "{scheme:?} misses banks");
+        }
+    }
+
+    #[test]
+    fn permutation_spreads_power_of_two_strides() {
+        // Stride of exactly `banks` lines hits one bank under sequential
+        // interleaving but multiple banks under permutation.
+        let banks = 4;
+        let seq: std::collections::HashSet<_> = (0..16u64)
+            .map(|i| bank_of(i * banks as u64, banks, Interleave::Sequential))
+            .collect();
+        let perm: std::collections::HashSet<_> = (0..16u64)
+            .map(|i| bank_of(i * banks as u64, banks, Interleave::Permutation))
+            .collect();
+        assert_eq!(seq.len(), 1);
+        assert!(perm.len() > 1);
     }
 
     #[test]

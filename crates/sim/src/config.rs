@@ -1,6 +1,6 @@
 //! Machine configuration (Table 1 of the paper, plus variants).
 
-use mempar_ir::HomePolicy;
+use mempar_ir::{HomePolicy, Interleave};
 
 /// Parameters of one cache level.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,19 +62,6 @@ pub struct ProcParams {
     pub max_branches: usize,
     /// Functional units.
     pub fu: FuParams,
-}
-
-/// Memory-bank interleaving scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interleave {
-    /// Sequential: bank = line mod banks.
-    Sequential,
-    /// Permutation-based (Sohi): XOR-fold of the line address, supporting
-    /// a wide variety of strides (the simulated system of the paper).
-    Permutation,
-    /// Skewed (Harper & Jump): bank = (line + line/banks) mod banks
-    /// (the Convex Exemplar's memory).
-    Skewed,
 }
 
 /// DRAM / memory-bank parameters (per node).

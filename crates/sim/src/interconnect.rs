@@ -1,26 +1,8 @@
 //! Buses, interleaved memory banks and the 2-D mesh network.
 
-use crate::config::{BusParams, Interleave, MemParams, NetParams};
+use crate::config::{BusParams, MemParams, NetParams};
 use crate::resource::{Resource, ResourcePool};
-
-/// Selects the memory bank for a line address.
-///
-/// The simulated system uses permutation-based interleaving (Sohi) to
-/// spread strided streams over banks; the Exemplar uses a skewed scheme
-/// (Harper & Jump).
-pub fn bank_of(line: u64, banks: usize, scheme: Interleave) -> usize {
-    debug_assert!(banks.is_power_of_two());
-    let mask = (banks - 1) as u64;
-    let b = match scheme {
-        Interleave::Sequential => line & mask,
-        Interleave::Permutation => {
-            let s = banks.trailing_zeros();
-            (line ^ (line >> s) ^ (line >> (2 * s)) ^ (line >> (3 * s))) & mask
-        }
-        Interleave::Skewed => (line + (line >> banks.trailing_zeros())) & mask,
-    };
-    b as usize
-}
+use mempar_ir::bank_of;
 
 /// One node's memory banks.
 #[derive(Debug, Clone)]
@@ -227,6 +209,7 @@ impl Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mempar_ir::Interleave;
 
     fn net() -> NetParams {
         NetParams {
@@ -235,36 +218,6 @@ mod tests {
             hop_cycles: 2,
             ni_cycles: 8,
         }
-    }
-
-    #[test]
-    fn bank_selection_covers_all_banks() {
-        for scheme in [
-            Interleave::Sequential,
-            Interleave::Permutation,
-            Interleave::Skewed,
-        ] {
-            let mut seen = [false; 4];
-            for line in 0..64u64 {
-                seen[bank_of(line, 4, scheme)] = true;
-            }
-            assert!(seen.iter().all(|&s| s), "{scheme:?} misses banks");
-        }
-    }
-
-    #[test]
-    fn permutation_spreads_power_of_two_strides() {
-        // Stride of exactly `banks` lines hits one bank under sequential
-        // interleaving but multiple banks under permutation.
-        let banks = 4;
-        let seq: std::collections::HashSet<_> = (0..16u64)
-            .map(|i| bank_of(i * banks as u64, banks, Interleave::Sequential))
-            .collect();
-        let perm: std::collections::HashSet<_> = (0..16u64)
-            .map(|i| bank_of(i * banks as u64, banks, Interleave::Permutation))
-            .collect();
-        assert_eq!(seq.len(), 1);
-        assert!(perm.len() > 1);
     }
 
     #[test]

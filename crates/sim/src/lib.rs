@@ -66,10 +66,12 @@ mod system;
 pub use crate::core::Core;
 pub use cache::{LineState, MshrEntry, MshrFile, MshrOutcome, TagArray, Victim};
 pub use config::{
-    BusParams, CacheParams, FuParams, Interleave, MachineConfig, MemParams, NetParams, ProcParams,
-    Topology,
+    BusParams, CacheParams, FuParams, MachineConfig, MemParams, NetParams, ProcParams, Topology,
 };
-pub use interconnect::{bank_of, Bus, MemoryBanks, Mesh};
+pub use interconnect::{Bus, MemoryBanks, Mesh};
+// The bank function lives in `mempar-ir` so the transformation driver's
+// bank-conflict estimate and the simulated banks share it.
+pub use mempar_ir::{bank_of, Interleave};
 pub use memsys::{Access, MemSystem};
 pub use protocol::{CohTxn, Coherence, DataSource, Protocol};
 pub use resource::{Resource, ResourcePool};

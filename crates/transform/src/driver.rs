@@ -18,8 +18,8 @@
 //! 5. **Schedule** the body to pack miss references together.
 //! 6. **Interchange the postlude** when possible.
 
-use mempar_analysis::{analyze_inner_loop, MachineSummary, MissProfile, NestAnalysis};
-use mempar_ir::{block_range, Loop, Program};
+use mempar_analysis::{analyze_inner_loop, flat_stride, MachineSummary, MissProfile, NestAnalysis};
+use mempar_ir::{bank_of, block_range, Loop, Program, VarId, ELEM_BYTES};
 
 use crate::interchange::interchange_postlude;
 use crate::nest::{deepest_inner, enclosing_vars, innermost_loops, loop_at, loop_at_mut, NestPath};
@@ -42,6 +42,8 @@ pub struct NestDecision {
     pub f_after: f64,
     /// Unroll-and-jam degree applied (1 = none).
     pub uaj_degree: u32,
+    /// The loop that was unroll-and-jammed, when `uaj_degree > 1`.
+    pub uaj_loop: Option<JammedLoop>,
     /// Inner unrolling applied (1 = none).
     pub inner_unroll: u32,
     /// Invariant references scalar-replaced.
@@ -52,6 +54,18 @@ pub struct NestDecision {
     pub postlude_interchanged: bool,
     /// Why unroll-and-jam was skipped, if it was wanted but not applied.
     pub uaj_skip_reason: Option<String>,
+}
+
+/// The loop a nest's unroll-and-jam was applied to.
+#[derive(Debug, Clone)]
+pub struct JammedLoop {
+    /// Its path before transformation.
+    pub path: NestPath,
+    /// Its induction variable's name.
+    pub var: String,
+    /// True when the degree exceeds its constant trip count: the jammed
+    /// loop never runs, and only the postlude does.
+    pub postlude_only: bool,
 }
 
 /// Summary of a whole-program clustering pass.
@@ -74,12 +88,20 @@ impl ClusterReport {
         let mut s = String::new();
         for d in &self.decisions {
             s.push_str(&format!(
-                "{}: alpha={:.2} f={:.1}->{:.1} uaj={} unroll={} sr={} sched={} postlude-ix={}{}\n",
+                "{}: alpha={:.2} f={:.1}->{:.1} uaj={}{} unroll={} sr={} sched={} postlude-ix={}{}\n",
                 d.nest_desc,
                 d.alpha,
                 d.f_before,
                 d.f_after,
                 d.uaj_degree,
+                d.uaj_loop
+                    .as_ref()
+                    .map(|j| format!(
+                        "@{}{}",
+                        j.var,
+                        if j.postlude_only { " (postlude only)" } else { "" }
+                    ))
+                    .unwrap_or_default(),
                 d.inner_unroll,
                 d.scalar_replaced,
                 d.scheduled,
@@ -108,16 +130,14 @@ pub fn cluster_program(
     nests.reverse();
     let mut consumed_parents: Vec<NestPath> = Vec::new();
     for path in nests {
-        // Skip nests whose enclosing loop we already transformed (a jam
+        // Skip nests whose enclosing loop we already jammed (a jam
         // rewrites every inner loop it contains).
         if consumed_parents.iter().any(|p| path.0.starts_with(&p.0)) {
             continue;
         }
         if let Some(d) = cluster_nest(prog, &path, m, profile) {
-            if d.uaj_degree > 1 {
-                if let Some(parent) = path.parent() {
-                    consumed_parents.push(parent);
-                }
+            if let Some(j) = &d.uaj_loop {
+                consumed_parents.push(j.path.clone());
             }
             report.decisions.push(d);
         }
@@ -152,6 +172,7 @@ fn cluster_nest(
         f_before: an.f,
         f_after: an.f,
         uaj_degree: 1,
+        uaj_loop: None,
         inner_unroll: 1,
         scalar_replaced: 0,
         scheduled: false,
@@ -169,50 +190,47 @@ fn cluster_nest(
     // loop chains copies through the same memory locations and adds no
     // miss streams — the LU `kk` trap), when unrolling would add only
     // write or redundant misses, or when no profitable legal degree
-    // exists.
+    // exists. When the first site's degree is capped by a processor's
+    // block, the loops enclosing it are priced against it
+    // ([`widen_capped`]).
     if an.needs_unroll_and_jam(m) {
+        let target = an.target_f(m);
         let mut reasons: Vec<String> = Vec::new();
         let mut cand = path.parent();
         if cand.is_none() {
             decision.uaj_skip_reason = Some("no enclosing loop to unroll".into());
         }
         while let Some(parent) = cand {
-            let Some(pl) = loop_at(prog, &parent) else {
-                break;
+            cand = parent.parent();
+            let site = match jam_site(prog, path, &parent, &an, m, profile, target) {
+                Ok(site) if site.block_capped => {
+                    widen_capped(prog, path, site, &an, m, profile, target)
+                }
+                Ok(site) => site,
+                Err(reason) => {
+                    reasons.push(reason);
+                    continue;
+                }
             };
-            let (pv, trip) = (pl.var, pl.const_trip_count());
-            let pname = prog.var_name(pv).to_string();
-            if !writes_vary_with(prog, path, pv) {
-                reasons.push(format!("{pname}: writes invariant (reduction)"));
-                cand = parent.parent();
-                continue;
-            }
-            if !unrolling_adds_read_misses(&an, pv) {
-                reasons.push(format!("{pname}: adds only write/redundant misses"));
-                cand = parent.parent();
-                continue;
-            }
-            let target = an.target_f(m);
-            let (lowered, max_degree) = unroll_site(prog, &parent, m);
-            let site = lowered.as_ref().unwrap_or(prog);
-            let degree = search_degree(site, &parent, m, profile, target, max_degree);
-            if degree <= 1 {
-                reasons.push(format!("{pname}: no profitable degree"));
-                cand = parent.parent();
-                continue;
-            }
             // A lowered loop whose every block on this machine is a
             // multiple of the degree gets a postlude that no processor
             // runs. Interchanged, it would still run a loop of empty
             // inner loops, so it is left as written.
-            let postlude_idle =
-                lowered.is_some() && trip.is_some_and(|t| blocks_divide(t, m.procs, degree));
-            if let Some(lowered) = lowered {
+            let postlude_idle = site.lowered.is_some()
+                && site
+                    .trip
+                    .is_some_and(|t| blocks_divide(t, m.procs, site.degree));
+            if let Some(lowered) = site.lowered {
                 *prog = lowered;
             }
-            match unroll_and_jam(prog, &parent, degree) {
+            match unroll_and_jam(prog, &site.path, site.degree) {
                 Ok(r) => {
-                    decision.uaj_degree = degree;
+                    decision.uaj_degree = site.degree;
+                    decision.uaj_loop = Some(JammedLoop {
+                        var: prog.var_name(site.var).to_string(),
+                        postlude_only: site.trip.is_some_and(|t| i64::from(site.degree) > t),
+                        path: site.path,
+                    });
                     if let Some(post) = r.postlude.as_ref().filter(|_| !postlude_idle) {
                         decision.postlude_interchanged = interchange_postlude(prog, post);
                     }
@@ -220,8 +238,8 @@ fn cluster_nest(
                     break;
                 }
                 Err(e) => {
-                    reasons.push(format!("{pname}: {e}"));
-                    cand = parent.parent();
+                    reasons.push(format!("{}: {e}", prog.var_name(site.var)));
+                    cand = site.path.parent();
                 }
             }
         }
@@ -311,8 +329,175 @@ fn blocks_divide(trip: i64, procs: usize, degree: u32) -> bool {
     })
 }
 
+/// A loop the driver can unroll-and-jam, with the degree
+/// [`search_degree`] found for it.
+struct JamSite {
+    /// The loop to jam.
+    path: NestPath,
+    /// Its induction variable.
+    var: VarId,
+    /// Its step (the direction its jammed copies walk memory).
+    step: i64,
+    /// Its constant trip count as written, if it has one.
+    trip: Option<i64>,
+    /// The program with this loop lowered to each processor's block, when
+    /// [`unroll_site`] lowered it.
+    lowered: Option<Program>,
+    /// The chosen degree (> 1).
+    degree: u32,
+    /// Re-analyzed `f` at that degree.
+    f: f64,
+    /// True when a processor's block, not the model, set the degree:
+    /// the loop was lowered, and the degree hit a block cap below `U`.
+    block_capped: bool,
+}
+
+/// Checks the loop at `at` (enclosing the innermost nest at `inner`
+/// analyzed as `an`) as an unroll-and-jam site and searches its degree.
+/// `Err` says why it is rejected.
+fn jam_site(
+    prog: &Program,
+    inner: &NestPath,
+    at: &NestPath,
+    an: &NestAnalysis,
+    m: &MachineSummary,
+    profile: &MissProfile,
+    target: f64,
+) -> Result<JamSite, String> {
+    let l = loop_at(prog, at).ok_or("not a loop")?;
+    let name = prog.var_name(l.var);
+    if !writes_vary_with(prog, inner, l.var) {
+        return Err(format!("{name}: writes invariant (reduction)"));
+    }
+    if !unrolling_adds_read_misses(an, l.var) {
+        return Err(format!("{name}: adds only write/redundant misses"));
+    }
+    let (lowered, max_degree) = unroll_site(prog, at, m);
+    let site = lowered.as_ref().unwrap_or(prog);
+    let Some((degree, f)) = search_degree(site, at, m, profile, target, max_degree) else {
+        return Err(format!("{name}: no profitable degree"));
+    };
+    Ok(JamSite {
+        path: at.clone(),
+        var: l.var,
+        step: l.step,
+        trip: l.const_trip_count(),
+        block_capped: lowered.is_some() && degree == max_degree && max_degree < m.max_unroll,
+        lowered,
+        degree,
+        f,
+    })
+}
+
+/// Called when a processor's block capped `capped`'s degree: also tries
+/// every loop enclosing it and returns the site with the lowest
+/// [`jam_cost`]. Ties keep `capped`. Only loops whose body holds no
+/// other innermost nest are tried, since a jam rewrites every nest it
+/// encloses and only this one was analyzed. A loop without a constant
+/// trip cannot be priced and is never chosen.
+fn widen_capped(
+    prog: &Program,
+    inner: &NestPath,
+    capped: JamSite,
+    an: &NestAnalysis,
+    m: &MachineSummary,
+    profile: &MissProfile,
+    target: f64,
+) -> JamSite {
+    let Some(mut best_cost) = jam_cost(prog, &capped, an, m) else {
+        return capped;
+    };
+    let nests = innermost_loops(prog);
+    let mut best = capped;
+    let mut outer = best.path.parent();
+    while let Some(at) = outer {
+        // This loop holds another nest, and so does every loop around it.
+        if nests.iter().filter(|n| n.0.starts_with(&at.0)).count() > 1 {
+            break;
+        }
+        outer = at.parent();
+        let Ok(alt) = jam_site(prog, inner, &at, an, m, profile, target) else {
+            continue;
+        };
+        if let Some(cost) = jam_cost(prog, &alt, an, m).filter(|&c| c + 1e-9 < best_cost) {
+            (best, best_cost) = (alt, cost);
+        }
+    }
+    best
+}
+
+/// The busiest processor's time per iteration of `site` once jammed, in
+/// units of one iteration's misses. A block of `t` iterations runs
+/// `t - t mod d` of them jammed at `f_eff` overlapped misses and the
+/// `t mod d` left over in the postlude at `f(1)`; a lowered loop's
+/// blocks come from [`block_range`], any other loop is one block of its
+/// trip. `f_eff = f(1) + (f(d) - f(1))·spread` discounts the copies that
+/// queue on one memory bank ([`bank_spread`]). Normalizing by the widest
+/// block makes sites at different nesting levels comparable: both time
+/// the same nest, only split differently. `None` without a constant trip
+/// or a positive `f(1)`.
+fn jam_cost(prog: &Program, site: &JamSite, an: &NestAnalysis, m: &MachineSummary) -> Option<f64> {
+    let trip = site.trip.filter(|&t| t > 0)?;
+    let f1 = Some(an.f).filter(|&f| f > 0.0)?;
+    let blocks: Vec<i64> = if site.lowered.is_some() {
+        (0..m.procs)
+            .map(|p| {
+                let (start, end) = block_range(trip, p, m.procs);
+                end - start
+            })
+            .collect()
+    } else {
+        vec![trip]
+    };
+    let f_eff = f1 + (site.f - f1) * bank_spread(prog, site, an, m);
+    let d = i64::from(site.degree);
+    let busiest = blocks
+        .iter()
+        .map(|&t| {
+            let jammed = t - t % d;
+            jammed as f64 / f_eff + (t - jammed) as f64 / f1
+        })
+        .fold(0.0, f64::max);
+    Some(busiest / *blocks.iter().max()? as f64)
+}
+
+/// Share of the distinct lines touched by the `d` jammed copies of a
+/// leading read that fall in distinct memory banks, averaged over 64
+/// base lines and minimized over the leading reads that vary with the
+/// jammed loop (1 when none has a regular stride). Copies that share a
+/// line coalesce in one miss and do not count as a conflict; copies of
+/// a large power-of-two stride queue on one bank (an 8 KB plane under
+/// the Exemplar's skewed interleave, a 32 KB plane under the simulated
+/// machine's permutation).
+fn bank_spread(prog: &Program, site: &JamSite, an: &NestAnalysis, m: &MachineSummary) -> f64 {
+    let line = m.line_bytes as u64;
+    an.refs
+        .leading()
+        .filter(|r| !r.is_write && ref_varies_with(&r.r, site.var))
+        .filter_map(|r| flat_stride(prog, &r.r, site.var))
+        .map(|s| {
+            let stride = (s * site.step).unsigned_abs() * ELEM_BYTES;
+            let per_base = (0..64u64).map(|b| {
+                let mut lines: Vec<u64> = (0..u64::from(site.degree))
+                    .map(|c| (b * line + c * stride) / line)
+                    .collect();
+                lines.dedup();
+                let mut banks: Vec<usize> = lines
+                    .iter()
+                    .map(|&l| bank_of(l, m.banks, m.interleave))
+                    .collect();
+                banks.sort_unstable();
+                banks.dedup();
+                banks.len() as f64 / lines.len() as f64
+            });
+            per_base.sum::<f64>() / 64.0
+        })
+        .fold(1.0, f64::min)
+}
+
 /// Searches for the degree `d ≤ max_degree` maximizing re-analyzed `f(d)`
-/// subject to `f(d) ≤ target` — bracketing binary search first (at
+/// subject to `f(d) ≤ target`, returning it with its `f` (`None` when no
+/// degree above 1 is profitable) — bracketing binary search first (at
 /// most `⌈log₂U⌉` trial jams on clones, as in Carr & Kennedy), with a
 /// bounded linear verification pass when the probes contradict the
 /// search's monotonicity assumption.
@@ -341,7 +526,7 @@ fn search_degree(
     profile: &MissProfile,
     target: f64,
     max_degree: u32,
-) -> u32 {
+) -> Option<(u32, f64)> {
     let cache = std::cell::RefCell::new(std::collections::BTreeMap::<u32, Option<f64>>::new());
     let f_of = |d: u32| -> Option<f64> {
         if let Some(v) = cache.borrow().get(&d) {
@@ -360,15 +545,8 @@ fn search_degree(
     };
     // Candidate degrees, ascending.
     let candidates: Vec<u32> = (2..=max_degree).collect();
-    if candidates.is_empty() {
-        return 1;
-    }
     // Quick legality/profit probe on the smallest candidate.
-    let f_small = match f_of(candidates[0]) {
-        None => return 1,
-        Some(f) if f > target => return 1,
-        Some(f) => f,
-    };
+    let f_small = f_of(*candidates.first()?).filter(|&f| f <= target)?;
     // Bracketing binary search over the candidate list.
     let (mut lo, mut hi) = (0usize, candidates.len() - 1);
     let mut best_f = f_small;
@@ -422,22 +600,14 @@ fn search_degree(
                 }
             }
         }
-        match best {
-            Some((idx, f)) => {
-                lo = idx;
-                best_f = f;
-            }
-            None => return 1,
-        }
+        (lo, best_f) = best?;
     }
     // Unrolling that never increases the overlapped-miss estimate (all
     // copies coalesce onto the same lines) is pure code expansion: skip.
-    if let Some(f1) = f_of(1) {
-        if best_f <= f1 + 1e-9 {
-            return 1;
-        }
+    if f_of(1).is_some_and(|f1| best_f <= f1 + 1e-9) {
+        return None;
     }
-    candidates[lo]
+    Some((candidates[lo], best_f))
 }
 
 /// True when unrolling the loop over `pv` would add new *read* miss
@@ -485,7 +655,8 @@ fn ref_varies_with(r: &mempar_ir::ArrayRef, v: mempar_ir::VarId) -> bool {
 mod tests {
     use super::*;
     use mempar_ir::{
-        run_single, AffineExpr, ArrayData, ArrayRef, Dist, Index, ProgramBuilder, SimMem,
+        run_parallel_functional, run_single, AffineExpr, ArrayData, ArrayRef, Dist, Index,
+        Interleave, ProgramBuilder, SimMem,
     };
 
     fn fig2a(n: usize) -> (Program, mempar_ir::ArrayId, mempar_ir::ArrayId) {
@@ -710,6 +881,164 @@ mod tests {
         assert_eq!(mem2.read_i64(sink), base);
     }
 
+    /// Erlebacher's x-direction sweep in miniature:
+    /// `for k { forall j { for i { out[k,j,i] = a[k,j,i+1] - a[k,j,i-1] } } }`.
+    fn sweep3d(
+        nk: usize,
+        nj: usize,
+        ni: usize,
+    ) -> (Program, mempar_ir::ArrayId, mempar_ir::ArrayId) {
+        let mut b = ProgramBuilder::new("sweep3d");
+        let a = b.array_f64("a", &[nk, nj, ni]);
+        let out = b.array_f64("out", &[nk, nj, ni]);
+        let k = b.var("k");
+        let j = b.var("j");
+        let i = b.var("i");
+        b.for_const(k, 0, nk as i64, |b| {
+            b.for_dist(j, 0, nj as i64, Dist::Block, |b| {
+                b.for_const(i, 1, ni as i64 - 1, |b| {
+                    let at = |b: &ProgramBuilder, di| {
+                        [b.idx(k), b.idx(j), b.idx_e(AffineExpr::var(i).offset(di))]
+                    };
+                    let hi = b.load(a, &at(b, 1));
+                    let lo = b.load(a, &at(b, -1));
+                    let e = b.sub(hi, lo);
+                    b.assign_array(out, &[b.idx(k), b.idx(j), b.idx(i)], e);
+                });
+            });
+        });
+        (b.finish(), a, out)
+    }
+
+    /// Clusters `prog` for `m` and returns the jammed loop's variable and
+    /// degree, after checking every processor still computes the base
+    /// program's output.
+    fn jam_of(
+        prog: &mut Program,
+        m: &MachineSummary,
+        arrays: (mempar_ir::ArrayId, mempar_ir::ArrayId),
+    ) -> (String, u32) {
+        let (a, out) = arrays;
+        let run = |p: &Program| {
+            let mut mem = SimMem::new(p, m.procs);
+            let n = p.array(a).len();
+            mem.set_array(a, ArrayData::F64((0..n).map(|x| (x % 13) as f64).collect()));
+            run_parallel_functional(p, &mut mem, m.procs);
+            mem.read_f64(out)
+        };
+        let base = run(prog);
+        let report = cluster_program(prog, m, &MissProfile::pessimistic());
+        assert_eq!(run(prog), base, "{}", report.summary());
+        let d = &report.decisions[0];
+        let var = d
+            .uaj_loop
+            .as_ref()
+            .map(|j| j.var.clone())
+            .unwrap_or_default();
+        (var, d.uaj_degree)
+    }
+
+    /// On 16 processors each owns at most `ceil(37/16) = 3` of the 37
+    /// `j` planes, which caps `j`'s degree below the target; the
+    /// enclosing `k` loop reaches it and prices cheaper.
+    #[test]
+    fn block_capped_jam_moves_to_the_enclosing_loop() {
+        let (mut p, a, out) = sweep3d(16, 37, 32);
+        let m = MachineSummary {
+            procs: 16,
+            ..MachineSummary::base()
+        };
+        let (var, degree) = jam_of(&mut p, &m, (a, out));
+        assert_eq!(var, "k", "degree {degree}");
+        assert!(degree > 3, "k must jam past the block cap, got {degree}");
+    }
+
+    /// On the Exemplar at 8 processors `j` is capped at its 4-plane
+    /// block, but every 8 KB `k` plane of a 32³ cube lands in one skewed
+    /// bank, so the `k` copies would queue on it: the driver keeps `j`.
+    #[test]
+    fn bank_conflicts_keep_the_distributed_loop() {
+        let (mut p, a, out) = sweep3d(32, 32, 32);
+        let m = MachineSummary {
+            procs: 8,
+            ..MachineSummary::exemplar()
+        };
+        let inner = innermost_loops(&p)[0].clone();
+        let j_path = inner.parent().unwrap();
+        let k_path = j_path.parent().unwrap();
+        let an = {
+            let l = loop_at(&p, &inner).unwrap();
+            analyze_inner_loop(&p, &l.body, l.var, &m, &MissProfile::pessimistic())
+        };
+        let target = an.target_f(&m);
+        let site = |at: &NestPath| {
+            jam_site(&p, &inner, at, &an, &m, &MissProfile::pessimistic(), target).unwrap()
+        };
+        // The trigger holds: the block cap set `j`'s degree.
+        assert!(site(&j_path).block_capped);
+        // Every `k` copy of a line lands in that line's bank.
+        let k = site(&k_path);
+        let spread = bank_spread(&p, &k, &an, &m);
+        assert!(
+            (spread - 1.0 / k.degree as f64).abs() < 1e-9,
+            "spread {spread}"
+        );
+        let (var, degree) = jam_of(&mut p, &m, (a, out));
+        assert_eq!((var.as_str(), degree), ("j", 4));
+    }
+
+    /// One processor lowers nothing, so the wider search never runs and
+    /// the banks do not matter: the driver jams `j` exactly as it did
+    /// before jam sites were priced.
+    #[test]
+    fn uniprocessor_sweep_is_unchanged() {
+        const EXPECTED: &str = "\
+// program sweep3d
+for (k = 0; k < 16; k++) {
+  uaj_t_j = (0 + (5 * ((37 - 0) / 5)));
+  forall_block (j = 0; j < uaj_t_j; j += 5) {
+    for (i = 1; i < 31; i++) {
+      out[k,j,i] = (a[k,j,i + 1] - a[k,j,i - 1]);
+      out[k,j + 1,i] = (a[k,j + 1,i + 1] - a[k,j + 1,i - 1]);
+      out[k,j + 2,i] = (a[k,j + 2,i + 1] - a[k,j + 2,i - 1]);
+      out[k,j + 3,i] = (a[k,j + 3,i + 1] - a[k,j + 3,i - 1]);
+      out[k,j + 4,i] = (a[k,j + 4,i + 1] - a[k,j + 4,i - 1]);
+    }
+  }
+  for (i = 1; i < 31; i++) {
+    forall_block (j = uaj_t_j; j < 37; j++) {
+      out[k,j,i] = (a[k,j,i + 1] - a[k,j,i - 1]);
+    }
+  }
+}
+";
+        for interleave in [Interleave::Permutation, Interleave::Sequential] {
+            let (mut p, a, out) = sweep3d(16, 37, 32);
+            let m = MachineSummary {
+                interleave,
+                ..MachineSummary::base()
+            };
+            assert_eq!(jam_of(&mut p, &m, (a, out)), ("j".into(), 5));
+            assert_eq!(p.to_pseudocode(), EXPECTED);
+        }
+    }
+
+    #[test]
+    fn report_names_the_jammed_loop() {
+        let (mut p, _, _) = sweep3d(4, 37, 32);
+        let report = cluster_program(&mut p, &MachineSummary::base(), &MissProfile::pessimistic());
+        assert!(
+            report.summary().contains(" uaj=5@j unroll="),
+            "{}",
+            report.summary()
+        );
+        // Three `j` planes are fewer than the degree: only the postlude runs.
+        let (mut p, _, _) = sweep3d(4, 3, 32);
+        let report = cluster_program(&mut p, &MachineSummary::base(), &MissProfile::pessimistic());
+        let s = report.summary();
+        assert!(s.contains(" uaj=5@j (postlude only) unroll="), "{s}");
+    }
+
     /// A unit-stride 2-D copy-scale: after jamming by `d`, each copy
     /// contributes leading references with `C_m = ceil(W/(i·L_m))`, so
     /// `f(d) ≈ d·ceil(K/d)` — which *dips* every time the ceiling steps
@@ -762,6 +1091,7 @@ mod tests {
             mshrs: 16,
             line_bytes: 64,
             max_unroll: 16,
+            ..MachineSummary::base()
         };
         let profile = MissProfile::pessimistic();
         let fs: Vec<(u32, f64)> = (2..=m.max_unroll)
@@ -781,7 +1111,8 @@ mod tests {
             })
             .expect("a feasible degree exists");
         assert_eq!(best, (7, 14.0), "premise drifted: {fs:?}");
-        let chosen = search_degree(&prog, &parent, &m, &profile, target, m.max_unroll);
+        let chosen =
+            search_degree(&prog, &parent, &m, &profile, target, m.max_unroll).map_or(1, |(d, _)| d);
         assert_eq!(
             chosen, best.0,
             "search must match the feasible argmax (profile {fs:?})"
@@ -803,6 +1134,7 @@ mod tests {
                 mshrs: 16,
                 line_bytes: 64,
                 max_unroll: 16,
+                ..MachineSummary::base()
             };
             let f1 = brute_f(&prog, &parent, &m, &profile, 1).unwrap();
             let fs: Vec<(u32, f64)> = (2..=m.max_unroll)
@@ -816,7 +1148,8 @@ mod tests {
                         _ => Some((d, f)),
                     },
                 );
-                let chosen = search_degree(&prog, &parent, &m, &profile, target, m.max_unroll);
+                let chosen = search_degree(&prog, &parent, &m, &profile, target, m.max_unroll)
+                    .map_or(1, |(d, _)| d);
                 if chosen > 1 {
                     let f_chosen = fs.iter().find(|(d, _)| *d == chosen).unwrap().1;
                     let best_f = best.expect("chosen>1 implies feasible").1;

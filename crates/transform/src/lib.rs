@@ -61,7 +61,7 @@ mod schedule;
 mod subst;
 mod unroll;
 
-pub use driver::{cluster_program, ClusterReport, NestDecision};
+pub use driver::{cluster_program, ClusterReport, JammedLoop, NestDecision};
 pub use interchange::{interchange, interchange_postlude, interchange_with, strip_mine};
 pub use legality::{
     all_refs, can_interchange, can_unroll_and_jam, collect_ranges, pair_dependence, PairDep,

@@ -263,11 +263,12 @@ fn clustering_preserves_locality() {
 }
 
 /// Figure 3(a) under both locality models: clustering must gain on
-/// average over the multiprocessor applications, and must not slow any
-/// of them by more than 10%. Jamming a distributed loop within each
-/// processor's own block is what keeps every cell near or above its
-/// base; jamming it as written once made Ocean 2.2x slower at scale 0.1.
-fn multiprocessor_leg(scale: f64) {
+/// average over the multiprocessor applications, and every cell's
+/// reduction must exceed `floor` percent. Jamming a distributed loop
+/// within each processor's own block is what keeps every cell near or
+/// above its base; jamming it as written once made Ocean 2.2x slower at
+/// scale 0.1.
+fn multiprocessor_leg(scale: f64, floor: f64) {
     for locality in [Locality::Analytic, Locality::Measured] {
         let mut cells = Vec::new();
         for app in App::all().into_iter().filter(|a| a.runs_multiprocessor()) {
@@ -288,7 +289,7 @@ fn multiprocessor_leg(scale: f64) {
         );
         for (app, r) in &cells {
             assert!(
-                *r > -10.0,
+                *r > floor,
                 "{locality:?} scale {scale}: {app} is {:.1}% slower than base",
                 -r
             );
@@ -298,11 +299,20 @@ fn multiprocessor_leg(scale: f64) {
 
 #[test]
 fn multiprocessor_clustering_gains_at_scale_005() {
-    multiprocessor_leg(0.05);
+    multiprocessor_leg(0.05, -10.0);
 }
 
 #[test]
 #[ignore = "about 30 s in a debug build; CI runs it with the ignored acceptance sweeps"]
 fn multiprocessor_clustering_gains_at_scale_01() {
-    multiprocessor_leg(0.1);
+    multiprocessor_leg(0.1, -10.0);
+}
+
+/// At scale 0.25 Erlebacher's 16 processors own 2-3 `j` planes each, so
+/// the block caps `j`'s jam at 3 and the driver jams the enclosing `k`
+/// sweeps instead; capped at `j`, the cell was 3.2% slower than base.
+#[test]
+#[ignore = "about 15 s in a release build; CI runs it with the ignored acceptance sweeps"]
+fn multiprocessor_clustering_never_loses_at_scale_025() {
+    multiprocessor_leg(0.25, 0.0);
 }
